@@ -88,6 +88,22 @@ inline double parse_double_flag(const char* flag, const std::string& v, double l
   return x;
 }
 
+/// A bench's own integer flag: the value after the last `flag` in argv,
+/// validated by parse_int_flag against [lo, hi], or `def` when the flag is
+/// absent. A trailing `flag` with no value exits 2 like the shared flags.
+inline long int_flag(int argc, char** argv, const char* flag, long def, long lo, long hi) {
+  long v = def;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != flag) continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s requires an argument\n", flag);
+      std::exit(2);
+    }
+    v = parse_int_flag(flag, argv[++i], lo, hi);
+  }
+  return v;
+}
+
 /// Parses the shared bench flags; unknown arguments are ignored so benches
 /// can add their own. Call at the top of main().
 inline void init(int argc, char** argv) {
@@ -212,6 +228,16 @@ inline void init(int argc, char** argv) {
                   "                      /trace and in diagnostic bundles (default: off)\n");
     }
   }
+}
+
+/// For benches that run on the simulator only: exits 2 with a message
+/// naming `bench` when --backend selected another engine, instead of
+/// silently printing simulated results under a threads/proc label.
+inline void require_sim_backend(const char* bench, const char* why) {
+  if (options().backend == "sim") return;
+  std::fprintf(stderr, "%s: only --backend sim is supported (%s), got '%s'\n", bench, why,
+               options().backend.c_str());
+  std::exit(2);
 }
 
 /// Copy of `cfg` with the CLI's tuning flags applied (--work-stealing,

@@ -6,7 +6,7 @@
 // backend runs one OS thread per logical processor, so on a multi-core
 // host its host_ms shows real parallel speedup.
 //
-//   bench_exec [--threads N] [--sets K] [--pinning POLICY]
+//   bench_exec [--threads N] [--sets K (1..100000)] [--pinning POLICY]
 //              [--work-stealing on|off] [--metrics on|off] [--json-out FILE|-]
 //              [--flight-compare] [--obs-port N] [--flight-recorder on|off]
 //              [--backend proc --transport shm|tcp]
@@ -20,7 +20,6 @@
 // CI gates it at <= 5% overhead.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -137,10 +136,9 @@ ImbalanceRun run_imbalanced(exec::BackendKind kind, int procs, bool stealing) {
 int main(int argc, char** argv) {
   fxbench::init(argc, argv);
   int procs = fxbench::options().threads > 0 ? fxbench::options().threads : 4;
-  int sets = 8;
+  const int sets = static_cast<int>(fxbench::int_flag(argc, argv, "--sets", 8, 1, 100000));
   bool flight_compare = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--sets" && i + 1 < argc) sets = std::atoi(argv[i + 1]);
     if (std::string(argv[i]) == "--flight-compare") flight_compare = true;
   }
 

@@ -4,11 +4,13 @@
 //   (2) the total worklist grows like O(n^(2/3)) for uniform particles;
 //   (3) the worklist shrinks as the number of replicated tree levels k
 //       rises (k should be at least log2(p), within a small multiple of it).
-// Forces are verified bit-exact against the sequential traversal.
+// Forces are verified bit-exact against the sequential traversal. The
+// times are modeled, so the bench runs on the simulator only.
 #include <cmath>
 #include <cstdio>
 
 #include "apps/barneshut.hpp"
+#include "bench/bench_common.hpp"
 
 using namespace fxpar;
 namespace ap = fxpar::apps;
@@ -29,7 +31,11 @@ MachineConfig mcfg(int p) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  fxbench::init(argc, argv);
+  fxbench::require_sim_backend("bench_fig7_barneshut",
+                               "the force phase shares one tree across ranks and the "
+                               "reported times are modeled");
   std::printf("Figure 7 / Section 5.3 — Barnes-Hut with nested task parallelism\n\n");
 
   // (1) Scaling with processors.

@@ -1,7 +1,5 @@
 #include "comm/collective_plan.hpp"
 
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace fxpar::comm::plan {
@@ -60,57 +58,28 @@ RootedSchedule build_rooted_schedule(const std::vector<int>& members, int root) 
   return s;
 }
 
-CollectiveCache& CollectiveCache::of(machine::Machine& m) {
-  std::lock_guard<std::mutex> lk(m.cache_mutex());
-  auto* cache = dynamic_cast<CollectiveCache*>(m.collective_cache_slot());
-  if (cache == nullptr) {
-    auto owned = std::make_unique<CollectiveCache>();
-    cache = owned.get();
-    m.set_collective_cache_slot(std::move(owned));
-  }
-  return *cache;
-}
-
-void CollectiveCache::check_members(const std::vector<int>& registered,
-                                    const pgroup::ProcessorGroup& g, const char* what) {
-  if (registered != g.members()) {
-    throw std::logic_error(std::string(what) +
-                           ": group key collision — a different member list is "
-                           "registered under this group's key");
-  }
-}
-
 std::shared_ptr<const TreeSchedule> CollectiveCache::tree(machine::Machine& m,
                                                           const pgroup::ProcessorGroup& g,
                                                           int root) {
-  const Key key{g.key(), root};
   std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = trees_.find(key); it != trees_.end()) {
-    check_members(it->second->members, g, "CollectiveCache::tree");
-    m.count_collective_plan(true);
-    return it->second;
-  }
-  if (trees_.size() >= kMaxEntries) trees_.clear();
-  auto sched = std::make_shared<const TreeSchedule>(build_tree_schedule(g.members(), root));
-  trees_.emplace(key, sched);
-  m.count_collective_plan(false);
+  auto sched = m.memo_plan(machine::PlanKind::Collective, trees_, Key{g.key(), root},
+                           kMaxEntries, [&] {
+                             return std::make_shared<const TreeSchedule>(
+                                 build_tree_schedule(g.members(), root));
+                           });
+  pgroup::check_group_key_match(sched->members, g, "CollectiveCache::tree");
   return sched;
 }
 
 std::shared_ptr<const RootedSchedule> CollectiveCache::rooted(
     machine::Machine& m, const pgroup::ProcessorGroup& g, int root) {
-  const Key key{g.key(), root};
   std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = rooted_.find(key); it != rooted_.end()) {
-    check_members(it->second->members, g, "CollectiveCache::rooted");
-    m.count_collective_plan(true);
-    return it->second;
-  }
-  if (rooted_.size() >= kMaxEntries) rooted_.clear();
-  auto sched =
-      std::make_shared<const RootedSchedule>(build_rooted_schedule(g.members(), root));
-  rooted_.emplace(key, sched);
-  m.count_collective_plan(false);
+  auto sched = m.memo_plan(machine::PlanKind::Collective, rooted_, Key{g.key(), root},
+                           kMaxEntries, [&] {
+                             return std::make_shared<const RootedSchedule>(
+                                 build_rooted_schedule(g.members(), root));
+                           });
+  pgroup::check_group_key_match(sched->members, g, "CollectiveCache::rooted");
   return sched;
 }
 

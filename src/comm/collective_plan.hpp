@@ -19,9 +19,9 @@
 // (MachineConfig::plan_cache gates it; tests/test_plan_cache.cpp holds
 // the parity).
 //
-// Layering: comm sits below dist and cannot see its PlanCache, so the
-// Machine carries a second, independent cache slot
-// (Machine::collective_cache_slot) with separate hit/miss counters
+// Layering: comm sits below dist and cannot see its PlanCache, so this
+// cache takes its own slot in the Machine's typed registry
+// (Machine::cache) with separate hit/miss counters
 // (RunResult::collective_plan_hits / _misses).
 #pragma once
 
@@ -43,7 +43,7 @@ namespace fxpar::comm::plan {
 /// recv take with the group pushed — and every list is stored in the
 /// order the uncached loop visits it, so replay is order-identical.
 struct TreeSchedule {
-  std::vector<int> members;  ///< physical members (collision guard)
+  std::vector<int> members;  ///< physical members (pgroup::check_group_key_match)
   int root = 0;              ///< virtual root rank
 
   struct Node {
@@ -82,9 +82,8 @@ class CollectiveCache final : public machine::MachineCacheBase {
   /// handful of groups, so eviction is a safety valve, not a hot path).
   static constexpr std::size_t kMaxEntries = 128;
 
-  /// The cache attached to `m`, creating it on first use (serialized by
-  /// m.cache_mutex()).
-  static CollectiveCache& of(machine::Machine& m);
+  /// The cache attached to `m`, creating it on first use.
+  static CollectiveCache& of(machine::Machine& m) { return m.cache<CollectiveCache>(); }
 
   /// The tree schedule of (g, root), building it on a miss. Counts the
   /// hit/miss on `m` (RunResult::collective_plan_hits / _misses).
@@ -97,14 +96,6 @@ class CollectiveCache final : public machine::MachineCacheBase {
 
   std::size_t tree_entries() const;
   std::size_t rooted_entries() const;
-
-  /// Throws std::logic_error when `g`'s member list differs from the list
-  /// a cached schedule was built for. Mirrors the threaded backend's
-  /// barrier-registry guard: two distinct groups whose 64-bit keys collide
-  /// would otherwise replay a schedule of the wrong shape. Public and
-  /// static so tests can exercise the collision path directly.
-  static void check_members(const std::vector<int>& registered,
-                            const pgroup::ProcessorGroup& g, const char* what);
 
  private:
   struct Key {

@@ -52,14 +52,6 @@ PlanCache::Key PlanCache::redist_key(const Layout& src, const Layout& dst,
   return k;
 }
 
-PlanCache& PlanCache::of(machine::Machine& m) {
-  std::lock_guard<std::mutex> lk(m.cache_mutex());
-  if (!m.plan_cache_slot()) {
-    m.set_plan_cache_slot(std::make_unique<PlanCache>());
-  }
-  return *static_cast<PlanCache*>(m.plan_cache_slot());
-}
-
 std::shared_ptr<const RedistSchedule> PlanCache::redist(machine::Machine& m, const Layout& src,
                                                         const Layout& dst,
                                                         const std::vector<int>& perm,
@@ -67,15 +59,8 @@ std::shared_ptr<const RedistSchedule> PlanCache::redist(machine::Machine& m, con
                                                         const std::vector<std::int64_t>& offsets) {
   Key key = redist_key(src, dst, perm, offsets);
   std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = redist_.find(key); it != redist_.end()) {
-    m.count_plan_cache(true);
-    return it->second;
-  }
-  m.count_plan_cache(false);
-  auto sched = build_redist_schedule(src, dst, perm, inv_perm, offsets);
-  if (redist_.size() >= kMaxEntries) redist_.clear();
-  redist_.emplace(std::move(key), sched);
-  return sched;
+  return m.memo_plan(machine::PlanKind::Redist, redist_, std::move(key), kMaxEntries,
+                     [&] { return build_redist_schedule(src, dst, perm, inv_perm, offsets); });
 }
 
 std::shared_ptr<const HaloSchedule> PlanCache::halo(machine::Machine& m, const Layout& layout,
@@ -84,15 +69,8 @@ std::shared_ptr<const HaloSchedule> PlanCache::halo(machine::Machine& m, const L
   append_layout(key.blob, layout);
   key.blob.push_back(halo);
   std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = halo_.find(key); it != halo_.end()) {
-    m.count_plan_cache(true);
-    return it->second;
-  }
-  m.count_plan_cache(false);
-  auto sched = build_halo_schedule(layout, halo);
-  if (halo_.size() >= kMaxEntries) halo_.clear();
-  halo_.emplace(std::move(key), sched);
-  return sched;
+  return m.memo_plan(machine::PlanKind::Redist, halo_, std::move(key), kMaxEntries,
+                     [&] { return build_halo_schedule(layout, halo); });
 }
 
 std::shared_ptr<const RedistSchedule> build_redist_schedule(

@@ -205,7 +205,7 @@ class PlanCache final : public machine::MachineCacheBase {
   static constexpr std::size_t kMaxEntries = 128;
 
   /// The cache attached to `m`, created on first use.
-  static PlanCache& of(machine::Machine& m);
+  static PlanCache& of(machine::Machine& m) { return m.cache<PlanCache>(); }
 
   /// The schedule for assign_general(src -> dst, perm, offsets), building
   /// and inserting it on a miss. Counts a hit or miss on `m`.

@@ -21,18 +21,27 @@
 //   threaded_backend.hpp ThreadedBackend  — one OS thread per logical
 //                        processor over real shared memory; reports real
 //                        host time, wait time and barrier counts.
+//   proc_backend.hpp     ProcBackend      — one OS process per logical
+//                        processor; messages cross a src/net/ transport
+//                        (shm rings or loopback TCP).
+//
+// The two concurrent backends share one runtime core (rank_core.hpp): the
+// message matcher, per-rank live state, the deadlock rule and the failure
+// snapshot.
 //
 // The determinism contract (docs/execution.md): a program whose outputs
 // depend only on computed values and received payloads — not on clocks —
 // produces bit-identical array contents on every backend, because
 // messages are matched by (source, tag) in per-source FIFO order and
-// barriers synchronize exactly the same groups on both engines.
+// barriers synchronize exactly the same groups on every engine.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,6 +103,22 @@ constexpr std::pair<std::int64_t, std::int64_t> loop_block(std::int64_t lo, std:
   return {first, std::max(first, last)};
 }
 
+/// Throws std::out_of_range("<what> <rank>") unless 0 <= rank < procs: the
+/// range check of every rank a processor operation names.
+inline void require_rank(int rank, int procs, const char* what) {
+  if (rank < 0 || rank >= procs) {
+    throw std::out_of_range(std::string(what) + " " + std::to_string(rank));
+  }
+}
+
+/// Unwinds a processor body that was parked (or about to park) when some
+/// other processor failed; the concurrent backends swallow it and rethrow
+/// the first real exception instead.
+class AbortError : public std::runtime_error {
+ public:
+  AbortError() : std::runtime_error("fxexec: run aborted by a failing processor") {}
+};
+
 /// One contiguous chunk of a bulk loop, executed by run_chunks(): run
 /// iterations [lo, hi). A stolen chunk is always executed through the
 /// *owning* member's body object (the member whose static block contains
@@ -101,22 +126,30 @@ constexpr std::pair<std::int64_t, std::int64_t> loop_block(std::int64_t lo, std:
 /// buffers — is the owner's regardless of which worker ran the chunk.
 using ChunkBody = std::function<void(std::int64_t lo, std::int64_t hi)>;
 
+/// The static loop schedule: member `vrank` of a `parts`-member group runs
+/// its whole loop_block() of [lo, hi) as one chunk, with no coordination.
+inline void run_static_block(std::int64_t lo, std::int64_t hi, int parts, int vrank,
+                             const ChunkBody& body) {
+  const auto [first, last] = loop_block(lo, hi, parts, vrank);
+  if (first < last) body(first, last);
+}
+
 /// Aggregate per-run numbers a backend hands back after run(). The
 /// interpretation of the clock fields is backend-defined: modeled seconds
-/// on the simulator, real host seconds on the threaded engine.
+/// on the simulator, real host seconds on the threaded and process engines.
 struct BackendStats {
   double finish_time = 0.0;  ///< completion time of the slowest processor
   std::vector<runtime::ProcClock> clocks;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t barriers = 0;
-  double wait_ms = 0.0;  ///< total *real* blocked time (threaded backend only)
+  double wait_ms = 0.0;  ///< total *real* blocked time (threads and proc; 0 on sim)
   std::uint64_t steals = 0;        ///< loop chunks stolen by idle subgroup siblings
   std::uint64_t stolen_iters = 0;  ///< iterations executed by a non-owning worker
   std::vector<std::uint64_t> traffic;  ///< src * P + dst, when recorded
 
   /// Per-worker NUMA node ids under an active pinning policy (threaded
-  /// backend; empty on the simulator or with pinning none/failed). Index
+  /// backend; empty otherwise or with pinning none/failed). Index
   /// is the logical rank; -1 marks a worker that could not be pinned.
   std::vector<int> numa_nodes;
 };

@@ -23,7 +23,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "exec/threaded_backend.hpp"  // AbortError
 #include "metrics/runtime_metrics.hpp"
 #include "net/shm_channel.hpp"
 #include "net/socket_channel.hpp"
@@ -38,10 +37,11 @@ namespace fxpar::exec {
 // One fixed-size block, mapped MAP_SHARED | MAP_ANONYMOUS before the first
 // fork, so every rank — parent and children — addresses the *same* physical
 // words. Everything the ranks must agree on *cheaply* lives here: the abort
-// word (doubling as the transports' stop flag), per-rank liveness for the
-// monitor and for introspection, subset-barrier state, the progress
-// counter, and the per-rank final stats. Variable-size state (payloads,
-// trace shards, metric deltas) travels over the net::Channel instead.
+// word (doubling as the transports' stop flag), one RankLive per rank (the
+// shared runtime core's live state and final stats, read by the monitor and
+// by introspection), subset-barrier state and the progress counter.
+// Variable-size state (payloads, trace shards, metric deltas) travels over
+// the net::Channel instead.
 
 namespace procdetail {
 
@@ -54,29 +54,6 @@ inline constexpr std::uint64_t kClaimKey = ~std::uint64_t{0};  ///< slot mid-cla
 inline constexpr std::uint32_t kAbortNone = 0;
 inline constexpr std::uint32_t kAbortError = 1;
 inline constexpr std::uint32_t kAbortDeadlock = 2;
-
-// Block reasons, mirrored into obs::WorkerState::block_reason strings.
-inline constexpr std::uint32_t kReasonNone = 0;
-inline constexpr std::uint32_t kReasonRecv = 1;
-inline constexpr std::uint32_t kReasonBarrier = 2;
-inline constexpr std::uint32_t kReasonIo = 3;
-
-struct alignas(64) RankCtrl {
-  std::atomic<std::uint32_t> parked{0};  ///< rank is (about to be) futex-parked
-  std::atomic<std::uint32_t> reason{0};  ///< kReason* while blocked
-  std::atomic<std::uint32_t> done{0};    ///< body returned and stats are final
-  std::atomic<std::uint64_t> beats{0};   ///< runtime-service heartbeats
-  std::atomic<std::uint64_t> last_beat_bits{0};  ///< bit pattern of the last beat time
-  std::atomic<std::int64_t> mail_depth{0};       ///< matched-but-unreceived messages
-  // Final per-rank counters, owner-written by finish_rank() before `done`
-  // goes up; the parent reads them only after observing done (or the reap).
-  double elapsed_s = 0.0;
-  double wait_s = 0.0;
-  std::uint64_t blocks = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t barriers = 0;
-};
 
 /// One subset barrier, keyed on the group's content key, claimed on first
 /// use by linear probing. The epoch word is the futex all waiters sleep on;
@@ -99,19 +76,6 @@ struct BarrierSlot {
   double arrive_t[kMaxProcs] = {};
 };
 
-struct FrozenRank {
-  std::uint32_t state = 0;  ///< 0 running, 1 parked, 2 finished
-  std::uint32_t reason = 0;
-  std::int64_t mail_depth = 0;
-  double last_beat = -1.0;
-};
-
-struct FrozenBarrier {
-  std::uint64_t key = 0;
-  std::int32_t size = 0;
-  std::int32_t waiting = 0;
-};
-
 struct Ctrl {
   std::atomic<std::uint32_t> abort{0};      ///< also the channels' stop flag
   std::atomic<std::uint32_t> err_claim{0};  ///< first-failer CAS gate
@@ -119,8 +83,6 @@ struct Ctrl {
   char err[kErrBytes] = {};
 
   std::atomic<std::uint64_t> progress{0};
-  std::atomic<std::int32_t> parked_n{0};
-  std::atomic<std::int32_t> finished_n{0};
   /// Data frames sent and not yet drained by their destination; nonzero
   /// means the system will move on its own, so no deadlock verdict.
   std::atomic<std::int64_t> in_transit{0};
@@ -132,11 +94,13 @@ struct Ctrl {
   // the abort word (every other rank then unwinds into "finished", so the
   // states that explain the failure only exist at diagnosis time).
   FrozenRank frozen_ranks[kMaxProcs];
-  FrozenBarrier frozen_barriers[kBarrierSlots];
+  obs::BarrierOccupancy frozen_barriers[kBarrierSlots];
   std::uint32_t frozen_barrier_n = 0;
 
   BarrierSlot barriers[kBarrierSlots];
-  RankCtrl ranks[kMaxProcs];
+  /// Owner-written live state; the final counters are read by the parent
+  /// only after the rank's `done` (or its reap).
+  RankLive ranks[kMaxProcs];
   std::atomic<std::uint64_t> traffic[kMaxProcs * kMaxProcs];
 };
 
@@ -145,7 +109,6 @@ struct Ctrl {
 namespace {
 
 using procdetail::Ctrl;
-using procdetail::RankCtrl;
 
 thread_local ProcBackend* t_powner = nullptr;
 thread_local int t_prank = -1;
@@ -182,15 +145,6 @@ void futex_wake_all_u32(std::atomic<std::uint32_t>* addr) {
 #else
   (void)addr;
 #endif
-}
-
-const char* reason_name(std::uint32_t reason) {
-  switch (reason) {
-    case procdetail::kReasonRecv: return "recv";
-    case procdetail::kReasonBarrier: return "barrier";
-    case procdetail::kReasonIo: return "io";
-  }
-  return "";
 }
 
 // ---- tiny blob helpers (parent and children are the same binary image,
@@ -307,10 +261,13 @@ procdetail::BarrierSlot* barrier_slot_for(Ctrl* c, const pgroup::ProcessorGroup&
         continue;
       }
       if (k == key) {
-        if (s.members.load(std::memory_order_acquire) != mask ||
-            s.size.load(std::memory_order_acquire) != n) {
-          throw std::logic_error("ProcBackend: group key collision in barrier table for group " +
-                                 g.to_string());
+        const std::uint64_t registered = s.members.load(std::memory_order_acquire);
+        if (registered != mask || s.size.load(std::memory_order_acquire) != n) {
+          std::vector<int> ranks;
+          for (int b = 0; b < procdetail::kMaxProcs; ++b) {
+            if ((registered >> b) & 1u) ranks.push_back(b);
+          }
+          pgroup::throw_group_key_collision(ranks, g, "ProcBackend barrier table");
         }
         return &s;
       }
@@ -329,6 +286,21 @@ procdetail::BarrierSlot* barrier_slot_for(Ctrl* c, const pgroup::ProcessorGroup&
     }
   }
   throw std::runtime_error("ProcBackend: barrier slot table full (too many distinct groups)");
+}
+
+/// Writes every barrier with at least one member arrived in an unreleased
+/// episode into `out` (capacity kBarrierSlots); returns how many.
+std::uint32_t occupied_barriers(const Ctrl& c, obs::BarrierOccupancy* out) {
+  std::uint32_t n = 0;
+  for (const auto& s : c.barriers) {
+    const std::uint64_t k = s.key.load(std::memory_order_acquire);
+    if (k == 0 || k == procdetail::kClaimKey) continue;
+    const auto arrived = s.arrived.load(std::memory_order_acquire);
+    if (arrived == 0) continue;
+    out[n++] = obs::BarrierOccupancy{k, static_cast<int>(s.size.load(std::memory_order_relaxed)),
+                                     static_cast<int>(arrived)};
+  }
+  return n;
 }
 
 }  // namespace
@@ -369,23 +341,11 @@ void ProcBackend::reset_run_state() {
   c.frozen.store(0, std::memory_order_relaxed);
   c.err[0] = '\0';
   c.progress.store(0, std::memory_order_relaxed);
-  c.parked_n.store(0, std::memory_order_relaxed);
-  c.finished_n.store(0, std::memory_order_relaxed);
   c.in_transit.store(0, std::memory_order_relaxed);
   c.io_lock.store(0, std::memory_order_relaxed);
   c.io_prev.store(-1, std::memory_order_relaxed);
   c.frozen_barrier_n = 0;
-  for (int r = 0; r < num_procs(); ++r) {
-    RankCtrl& rc = c.ranks[r];
-    rc.parked.store(0, std::memory_order_relaxed);
-    rc.reason.store(0, std::memory_order_relaxed);
-    rc.done.store(0, std::memory_order_relaxed);
-    rc.beats.store(0, std::memory_order_relaxed);
-    rc.last_beat_bits.store(std::bit_cast<std::uint64_t>(-1.0), std::memory_order_relaxed);
-    rc.mail_depth.store(0, std::memory_order_relaxed);
-    rc.elapsed_s = rc.wait_s = 0.0;
-    rc.blocks = rc.messages = rc.bytes = rc.barriers = 0;
-  }
+  for (int r = 0; r < num_procs(); ++r) c.ranks[r].reset();
   for (auto& s : c.barriers) {
     s.key.store(0, std::memory_order_relaxed);
     s.members.store(0, std::memory_order_relaxed);
@@ -404,8 +364,6 @@ void ProcBackend::reset_run_state() {
   matched_.clear();
   ctrl_frames_.clear();
   barrier_epoch_.clear();
-  wait_s_ = 0.0;
-  blocks_ = messages_ = bytes_sent_ = barriers_ = 0;
   pids_.assign(static_cast<std::size_t>(num_procs()), 0);
 }
 
@@ -417,9 +375,7 @@ double ProcBackend::now_s() const {
 }
 
 double ProcBackend::now(int rank) const {
-  if (rank < 0 || rank >= num_procs()) {
-    throw std::out_of_range("ProcBackend::now: bad rank " + std::to_string(rank));
-  }
+  require_rank(rank, num_procs(), "ProcBackend::now: bad rank");
   // t0_ is set before the fork, and CLOCK_MONOTONIC is machine-global, so
   // every process reads (nearly) the same time base.
   return now_s();
@@ -436,11 +392,11 @@ void ProcBackend::charge(double /*seconds*/) {
   // Real time passes by itself; modeled cost parameters do not apply here.
 }
 
-void ProcBackend::beat() {
-  RankCtrl& rc = ctrl_->ranks[t_prank];
-  rc.last_beat_bits.store(std::bit_cast<std::uint64_t>(now_s()), std::memory_order_relaxed);
-  rc.beats.fetch_add(1, std::memory_order_relaxed);
+std::span<const RankLive> ProcBackend::live() const {
+  return {ctrl_->ranks, static_cast<std::size_t>(num_procs())};
 }
+
+RankLive& ProcBackend::self_live() const { return ctrl_->ranks[t_prank]; }
 
 void ProcBackend::check_abort() const {
   if (ctrl_->abort.load(std::memory_order_acquire) != procdetail::kAbortNone) {
@@ -460,26 +416,8 @@ bool ProcBackend::fail_shm(std::uint32_t kind, const char* text) {
   std::snprintf(c.err, procdetail::kErrBytes, "%s", text != nullptr ? text : "unknown error");
   // Freeze what explains the failure before the abort word lets every other
   // rank unwind into "finished".
-  for (int r = 0; r < num_procs(); ++r) {
-    const RankCtrl& rc = c.ranks[r];
-    procdetail::FrozenRank& fr = c.frozen_ranks[r];
-    const std::uint32_t reason = rc.reason.load(std::memory_order_acquire);
-    fr.state = rc.done.load(std::memory_order_acquire) != 0 ? 2u : (reason != 0 ? 1u : 0u);
-    fr.reason = reason;
-    fr.mail_depth = rc.mail_depth.load(std::memory_order_relaxed);
-    fr.last_beat = std::bit_cast<double>(rc.last_beat_bits.load(std::memory_order_relaxed));
-  }
-  std::uint32_t nb = 0;
-  for (auto& s : c.barriers) {
-    const std::uint64_t k = s.key.load(std::memory_order_acquire);
-    if (k == 0 || k == procdetail::kClaimKey) continue;
-    const auto arrived = s.arrived.load(std::memory_order_acquire);
-    if (arrived == 0) continue;
-    c.frozen_barriers[nb++] = procdetail::FrozenBarrier{
-        k, static_cast<std::int32_t>(s.size.load(std::memory_order_relaxed)),
-        static_cast<std::int32_t>(arrived)};
-  }
-  c.frozen_barrier_n = nb;
+  for (int r = 0; r < num_procs(); ++r) c.frozen_ranks[r] = freeze(c.ranks[r]);
+  c.frozen_barrier_n = occupied_barriers(c, c.frozen_barriers);
   c.frozen.store(1, std::memory_order_release);
   c.abort.store(kind, std::memory_order_seq_cst);
   wake_all_barriers();
@@ -497,7 +435,7 @@ void ProcBackend::drain_channel() {
   if (!chan_) return;
   std::vector<net::Frame> frames;
   if (!chan_->drain(frames)) return;
-  RankCtrl& rc = ctrl_->ranks[chan_->rank()];
+  RankLive& lv = ctrl_->ranks[chan_->rank()];
   for (auto& f : frames) {
     if (f.kind == net::FrameKind::Data) {
       // Wire layout of a Data frame: [u64 trace id][f64 send time][payload].
@@ -507,8 +445,8 @@ void ProcBackend::drain_channel() {
       std::memcpy(&m.sent_at, f.payload.data() + 8, 8);
       f.payload.erase(f.payload.begin(), f.payload.begin() + 16);
       m.data = std::move(f.payload);
-      matched_[MailKey{f.src, f.tag}].push_back(std::move(m));
-      rc.mail_depth.fetch_add(1, std::memory_order_relaxed);
+      matched_.push(MailKey{f.src, f.tag}, std::move(m));
+      lv.mail_depth.fetch_add(1, std::memory_order_relaxed);
       ctrl_->in_transit.fetch_sub(1, std::memory_order_seq_cst);
     } else {
       ctrl_frames_.push_back(std::move(f));  // child residue; absorbed post-join
@@ -517,9 +455,7 @@ void ProcBackend::drain_channel() {
 }
 
 void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
-  if (dst < 0 || dst >= num_procs()) {
-    throw std::out_of_range("Machine::deposit: bad destination " + std::to_string(dst));
-  }
+  require_rank(dst, num_procs(), "Machine::deposit: bad destination");
   const int src = current_rank();
   check_abort();
   beat();
@@ -527,8 +463,9 @@ void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   const double sent_at = now_s();
   std::uint64_t trace_id = 0;
   if (tracer_) trace_id = tracer_->message_sent(src, dst, tag, nbytes, sent_at, sent_at);
-  messages_ += 1;
-  bytes_sent_ += nbytes;
+  RankLive& lv = ctrl_->ranks[src];
+  lv.messages += 1;
+  lv.bytes += nbytes;
   if (config_.record_traffic) {
     ctrl_->traffic[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_procs()) +
                    static_cast<std::size_t>(dst)]
@@ -538,8 +475,8 @@ void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   if (dst == src) {
     // Self-sends never touch a transport: match locally, exactly like the
     // other backends' self-mailbox path.
-    matched_[MailKey{src, tag}].push_back(PendingMsg{std::move(data), trace_id, sent_at});
-    ctrl_->ranks[src].mail_depth.fetch_add(1, std::memory_order_relaxed);
+    matched_.push(MailKey{src, tag}, PendingMsg{std::move(data), trace_id, sent_at});
+    lv.mail_depth.fetch_add(1, std::memory_order_relaxed);
   } else {
     std::vector<std::byte> buf;
     buf.reserve(16 + nbytes);
@@ -560,45 +497,34 @@ void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
 }
 
 Payload ProcBackend::receive(int src, std::uint64_t tag) {
-  if (src < 0 || src >= num_procs()) {
-    throw std::out_of_range("Machine::receive: bad source " + std::to_string(src));
-  }
+  require_rank(src, num_procs(), "Machine::receive: bad source");
   const int rank = current_rank();
   beat();
   const MailKey key{src, tag};
   const double entry = now_s();
   bool blocked = false;
-  RankCtrl& rc = ctrl_->ranks[rank];
+  RankLive& lv = ctrl_->ranks[rank];
 
   for (;;) {
     check_abort();
     drain_channel();
-    auto it = matched_.find(key);
-    if (it != matched_.end() && !it->second.empty()) {
-      PendingMsg m = std::move(it->second.front());
-      it->second.pop_front();
-      if (it->second.empty()) matched_.erase(it);
-      rc.mail_depth.fetch_sub(1, std::memory_order_relaxed);
+    if (auto m = matched_.pop(key)) {
+      lv.mail_depth.fetch_sub(1, std::memory_order_relaxed);
       beat();
-      if (blocked) {
-        wait_s_ += now_s() - entry;
-        blocks_ += 1;
+      if (blocked) lv.add_wait(now_s() - entry);
+      if (tracer_ && m->trace_id != 0) {
+        tracer_->message_received_at(m->trace_id, rank, src, m->sent_at, entry, now_s());
       }
-      if (tracer_ && m.trace_id != 0) {
-        tracer_->message_received_at(m.trace_id, rank, src, m.sent_at, entry, now_s());
-      }
-      return std::move(m.data);
+      return std::move(m->data);
     }
     // Park on the channel doorbell. The bounded timeout keeps the loop
     // responsive to the abort word even without a wake.
     blocked = true;
-    rc.reason.store(procdetail::kReasonRecv, std::memory_order_release);
-    rc.parked.store(1, std::memory_order_seq_cst);
-    ctrl_->parked_n.fetch_add(1, std::memory_order_seq_cst);
+    lv.reason.store(BlockReason::Recv, std::memory_order_release);
+    lv.parked.store(1, std::memory_order_seq_cst);
     chan_->wait(0.005);
-    ctrl_->parked_n.fetch_sub(1, std::memory_order_seq_cst);
-    rc.parked.store(0, std::memory_order_seq_cst);
-    rc.reason.store(0, std::memory_order_release);
+    lv.parked.store(0, std::memory_order_seq_cst);
+    lv.reason.store(BlockReason::None, std::memory_order_release);
   }
 }
 
@@ -607,38 +533,26 @@ Payload ProcBackend::receive(int src, std::uint64_t tag) {
 
 void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
   const int rank = current_rank();
-  if (!group.contains(rank)) {
-    throw std::logic_error("Machine::barrier: proc " + std::to_string(rank) +
-                           " is not a member of group " + group.to_string());
-  }
+  const int vrank = pgroup::require_member(group, rank, "Machine::barrier");
   check_abort();
   beat();
-  barriers_ += 1;
+  RankLive& lv = ctrl_->ranks[rank];
+  lv.barriers += 1;
   const int n = group.size();
   if (n == 1) return;
 
   procdetail::BarrierSlot* slot = barrier_slot_for(ctrl_, group);
   const std::uint64_t episode = ++barrier_epoch_[group.key()];
   const auto want = static_cast<std::uint32_t>(episode);
-  const int vrank = group.virtual_of(rank);
   const double arrived_at = now_s();
   slot->arrive_t[vrank] = arrived_at;
-  RankCtrl& rc = ctrl_->ranks[rank];
 
   if (slot->arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       static_cast<std::uint32_t>(n)) {
     // Root (the last arriver): publish the release cause, reset the slot
     // for the next episode, then bump the epoch and wake the waiters.
-    int last = 0;
-    double max_t = slot->arrive_t[0];
-    for (int i = 1; i < n; ++i) {
-      if (slot->arrive_t[i] >= max_t) {
-        max_t = slot->arrive_t[i];
-        last = i;
-      }
-    }
-    slot->last_arriver.store(group.members()[static_cast<std::size_t>(last)],
-                             std::memory_order_relaxed);
+    const auto [last, max_t] = latest_arrival(slot->arrive_t, group);
+    slot->last_arriver.store(last, std::memory_order_relaxed);
     slot->max_arrival_bits.store(std::bit_cast<std::uint64_t>(max_t),
                                  std::memory_order_relaxed);
     slot->arrived.store(0, std::memory_order_relaxed);
@@ -646,9 +560,14 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
     ctrl_->progress.fetch_add(1, std::memory_order_seq_cst);
     futex_wake_all_u32(&slot->epoch);
   } else {
-    rc.reason.store(procdetail::kReasonBarrier, std::memory_order_release);
-    rc.parked.store(1, std::memory_order_seq_cst);
-    ctrl_->parked_n.fetch_add(1, std::memory_order_seq_cst);
+    // Register the awaited (slot, episode) before raising parked, so the
+    // monitor's quiescence rule sees a release this waiter has not consumed
+    // yet — e.g. while it is descheduled — as a pending wakeup.
+    lv.reason.store(BlockReason::Barrier, std::memory_order_release);
+    lv.await_episode.store(want, std::memory_order_seq_cst);
+    lv.await_token.store(static_cast<std::uint64_t>(slot - ctrl_->barriers) + 1,
+                         std::memory_order_seq_cst);
+    lv.parked.store(1, std::memory_order_seq_cst);
     slot->waiting.fetch_add(1, std::memory_order_seq_cst);
     for (;;) {
       const std::uint32_t seen = slot->epoch.load(std::memory_order_seq_cst);
@@ -660,18 +579,15 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
       drain_channel();
     }
     slot->waiting.fetch_sub(1, std::memory_order_seq_cst);
-    ctrl_->parked_n.fetch_sub(1, std::memory_order_seq_cst);
-    rc.parked.store(0, std::memory_order_seq_cst);
-    rc.reason.store(0, std::memory_order_release);
+    lv.parked.store(0, std::memory_order_seq_cst);
+    lv.await_token.store(0, std::memory_order_seq_cst);
+    lv.reason.store(BlockReason::None, std::memory_order_release);
   }
   check_abort();
   beat();
 
   const double released_at = now_s();
-  if (released_at > arrived_at) {
-    wait_s_ += released_at - arrived_at;
-    blocks_ += 1;
-  }
+  if (released_at > arrived_at) lv.add_wait(released_at - arrived_at);
   if (tracer_) {
     tracer_->barrier_record(
         group.key(), episode, rank, arrived_at, released_at,
@@ -685,19 +601,13 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
 
 void ProcBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
                              std::int64_t hi, const ChunkBody& body) {
-  const int rank = current_rank();
-  const int v = group.virtual_of(rank);
-  if (v < 0) {
-    throw std::logic_error("Machine::run_chunks: proc " + std::to_string(rank) +
-                           " is not a member of group " + group.to_string());
-  }
+  const int v = pgroup::require_member(group, current_rank(), "Machine::run_chunks");
   check_abort();
   if (hi <= lo) return;
   beat();
   // Static block schedule only: stealing would mean shipping the body
   // closure (and the owner's captured state) across address spaces.
-  const auto [first, last] = loop_block(lo, hi, group.size(), v);
-  if (first < last) body(first, last);
+  run_static_block(lo, hi, group.size(), v, body);
   beat();
 }
 
@@ -706,26 +616,25 @@ void ProcBackend::io_operation(std::size_t bytes) {
   check_abort();
   beat();
   const double entry = now_s();
-  RankCtrl& rc = ctrl_->ranks[rank];
+  RankLive& lv = ctrl_->ranks[rank];
   const auto token = static_cast<std::uint32_t>(rank) + 1;
   std::uint32_t expect = 0;
   if (!ctrl_->io_lock.compare_exchange_strong(expect, token, std::memory_order_acq_rel)) {
-    rc.reason.store(procdetail::kReasonIo, std::memory_order_release);
+    lv.reason.store(BlockReason::Io, std::memory_order_release);
     for (;;) {
       expect = 0;
       if (ctrl_->io_lock.compare_exchange_weak(expect, token, std::memory_order_acq_rel)) {
         break;
       }
       if (ctrl_->abort.load(std::memory_order_acquire) != 0) {
-        rc.reason.store(0, std::memory_order_release);
+        lv.reason.store(BlockReason::None, std::memory_order_release);
         throw AbortError{};
       }
       sleep_s(20e-6);
     }
-    rc.reason.store(0, std::memory_order_release);
+    lv.reason.store(BlockReason::None, std::memory_order_release);
     const double acquired = now_s();
-    wait_s_ += acquired - entry;
-    blocks_ += 1;
+    lv.add_wait(acquired - entry);
     if (tracer_) {
       const int prev = ctrl_->io_prev.load(std::memory_order_acquire);
       tracer_->io_wait(rank, entry, acquired, prev >= 0 ? prev : rank, entry);
@@ -790,9 +699,8 @@ void ProcBackend::run(const std::function<void(int)>& body) {
       i_failed_first = fail_shm(procdetail::kAbortError, "unknown exception in processor body");
     }
   }
-  finish_rank(0);
+  ctrl_->ranks[0].elapsed_s = now_s();
   ctrl_->ranks[0].done.store(1, std::memory_order_seq_cst);
-  ctrl_->finished_n.fetch_add(1, std::memory_order_seq_cst);
   ctrl_->progress.fetch_add(1, std::memory_order_seq_cst);
   t_powner = nullptr;
   t_prank = -1;
@@ -854,11 +762,10 @@ void ProcBackend::child_main(const std::function<void(int)>& body, int rank) {
   }
 
   if (code == 0 && ctrl_->abort.load(std::memory_order_acquire) == 0) {
-    finish_rank(rank);
+    ctrl_->ranks[rank].elapsed_s = now_s();
     try {
       ship_residue(rank, fork_snap, fork_flight);
       ctrl_->ranks[rank].done.store(1, std::memory_order_seq_cst);
-      ctrl_->finished_n.fetch_add(1, std::memory_order_seq_cst);
       ctrl_->progress.fetch_add(1, std::memory_order_seq_cst);
       // Done last: per-source FIFO guarantees rank 0 holds every residue
       // frame of this child once it sees the Done.
@@ -872,16 +779,6 @@ void ProcBackend::child_main(const std::function<void(int)>& body, int rank) {
   // _Exit, not exit: a forked child must not run the parent's atexit
   // handlers or static destructors.
   std::_Exit(code);
-}
-
-void ProcBackend::finish_rank(int rank) {
-  RankCtrl& rc = ctrl_->ranks[rank];
-  rc.elapsed_s = now_s();
-  rc.wait_s = wait_s_;
-  rc.blocks = blocks_;
-  rc.messages = messages_;
-  rc.bytes = bytes_sent_;
-  rc.barriers = barriers_;
 }
 
 void ProcBackend::ship_residue(int rank, const metrics::Snapshot& fork_snap,
@@ -991,20 +888,17 @@ void ProcBackend::monitor_loop() {
   const int p = num_procs();
   std::vector<char> dead(static_cast<std::size_t>(p), 0);
 
-  const auto quiescent_now = [&]() -> bool {
-    int done = 0, parked = 0;
-    for (int r = 0; r < p; ++r) {
-      const RankCtrl& rc = ctrl_->ranks[r];
-      if (rc.done.load(std::memory_order_seq_cst) != 0) {
-        ++done;
-      } else if (rc.parked.load(std::memory_order_seq_cst) != 0) {
-        ++parked;
-      }
-    }
-    if (done >= p) return false;           // completing normally
-    if (done + parked < p) return false;   // somebody is still running
-    if (ctrl_->in_transit.load(std::memory_order_seq_cst) != 0) return false;
-    return true;
+  // The shared quiescence rule with this backend's evidence: a Data frame
+  // in transit, or a barrier slot whose epoch already passed the episode a
+  // parked rank awaits (the rank was descheduled before it could leave).
+  const auto quiescent = [&](std::uint64_t snap) {
+    return exec::quiescent(
+        live(), snap, [this] { return progress(); },
+        [this](int) { return ctrl_->in_transit.load(std::memory_order_seq_cst) != 0; },
+        [this](std::uint64_t token, std::uint64_t episode) {
+          const auto epoch = ctrl_->barriers[token - 1].epoch.load(std::memory_order_seq_cst);
+          return static_cast<std::int32_t>(epoch - static_cast<std::uint32_t>(episode)) >= 0;
+        });
   };
 
   while (!monitor_stop_.load(std::memory_order_acquire)) {
@@ -1042,27 +936,16 @@ void ProcBackend::monitor_loop() {
 
     if (ctrl_->abort.load(std::memory_order_acquire) != 0) continue;
 
-    // Deadlock: the same quiescence rule as the threaded engine — every
-    // unfinished rank parked, nothing in transit, and no progress across
-    // two samples far enough apart that any delivered wakeup would have
-    // been consumed (the park loops re-check on a 5 ms period).
+    // Deadlock: the rule must hold at two samples far enough apart that
+    // any delivered wakeup would have been consumed (the park loops
+    // re-check on a 5 ms period) with no progress in between.
     const std::uint64_t snap = progress();
-    if (!quiescent_now()) continue;
+    if (!quiescent(snap)) continue;
     sleep_s(10e-3);
     if (monitor_stop_.load(std::memory_order_acquire)) break;
     if (ctrl_->abort.load(std::memory_order_acquire) != 0) continue;
-    if (!quiescent_now() || progress() != snap) continue;
-
-    std::string detail = "deadlock: all processors blocked.";
-    for (int r = 0; r < p; ++r) {
-      const RankCtrl& rc = ctrl_->ranks[r];
-      const char* reason =
-          rc.done.load(std::memory_order_acquire) != 0
-              ? "finished"
-              : reason_name(rc.reason.load(std::memory_order_acquire));
-      detail += "\n  proc " + std::to_string(r) + ": " + (reason[0] != '\0' ? reason : "running");
-    }
-    fail_shm(procdetail::kAbortDeadlock, detail.c_str());
+    if (!quiescent(snap)) continue;
+    fail_shm(procdetail::kAbortDeadlock, deadlock_text(live()).c_str());
   }
 }
 
@@ -1074,32 +957,9 @@ obs::Introspection ProcBackend::introspect() const {
   out.now = now_s();
   const int p = num_procs();
   out.workers.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    const RankCtrl& rc = ctrl_->ranks[r];
-    obs::WorkerState ws;
-    ws.rank = r;
-    const std::uint32_t reason = rc.reason.load(std::memory_order_acquire);
-    if (rc.done.load(std::memory_order_acquire) != 0) {
-      ws.state = "finished";
-    } else if (reason != 0) {
-      ws.state = "parked";
-      ws.block_reason = reason_name(reason);
-    } else {
-      ws.state = "running";
-    }
-    ws.mailbox_depth = rc.mail_depth.load(std::memory_order_relaxed);
-    ws.last_beat = std::bit_cast<double>(rc.last_beat_bits.load(std::memory_order_relaxed));
-    out.workers.push_back(std::move(ws));
-  }
-  for (const auto& s : ctrl_->barriers) {
-    const std::uint64_t k = s.key.load(std::memory_order_acquire);
-    if (k == 0 || k == procdetail::kClaimKey) continue;
-    const auto arrived = s.arrived.load(std::memory_order_acquire);
-    if (arrived == 0) continue;
-    out.barriers.push_back(obs::BarrierOccupancy{
-        k, static_cast<int>(s.size.load(std::memory_order_relaxed)),
-        static_cast<int>(arrived)});
-  }
+  for (int r = 0; r < p; ++r) out.workers.push_back(worker_state(ctrl_->ranks[r], r));
+  obs::BarrierOccupancy occupied[procdetail::kBarrierSlots];
+  out.barriers.assign(occupied, occupied + occupied_barriers(*ctrl_, occupied));
   return out;
 }
 
@@ -1109,53 +969,20 @@ obs::Introspection ProcBackend::failure_introspection() const {
   out.now = now_s();
   const int p = num_procs();
   out.workers.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    const procdetail::FrozenRank& fr = ctrl_->frozen_ranks[r];
-    obs::WorkerState ws;
-    ws.rank = r;
-    ws.state = fr.state == 2 ? "finished" : fr.state == 1 ? "parked" : "running";
-    if (fr.state == 1) ws.block_reason = reason_name(fr.reason);
-    ws.mailbox_depth = fr.mail_depth;
-    ws.last_beat = fr.last_beat;
-    out.workers.push_back(std::move(ws));
-  }
+  for (int r = 0; r < p; ++r) out.workers.push_back(thaw(ctrl_->frozen_ranks[r], r));
   const std::uint32_t nb =
       std::min<std::uint32_t>(ctrl_->frozen_barrier_n, procdetail::kBarrierSlots);
-  for (std::uint32_t i = 0; i < nb; ++i) {
-    const procdetail::FrozenBarrier& fb = ctrl_->frozen_barriers[i];
-    out.barriers.push_back(obs::BarrierOccupancy{fb.key, fb.size, fb.waiting});
-  }
+  out.barriers.assign(ctrl_->frozen_barriers, ctrl_->frozen_barriers + nb);
   return out;
 }
 
 std::uint64_t ProcBackend::progress() const noexcept {
-  std::uint64_t total = ctrl_->progress.load(std::memory_order_seq_cst) +
-                        static_cast<std::uint64_t>(
-                            ctrl_->finished_n.load(std::memory_order_seq_cst));
-  for (int r = 0; r < num_procs(); ++r) {
-    total += ctrl_->ranks[r].beats.load(std::memory_order_relaxed);
-  }
-  return total;
+  return rank_progress(live(), ctrl_->progress.load(std::memory_order_seq_cst));
 }
 
 BackendStats ProcBackend::stats() const {
-  BackendStats s;
+  BackendStats s = rank_stats(live());
   const int p = num_procs();
-  s.clocks.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    const RankCtrl& rc = ctrl_->ranks[r];
-    runtime::ProcClock c;
-    c.now = rc.elapsed_s;
-    c.busy = std::max(0.0, rc.elapsed_s - rc.wait_s);
-    c.idle = rc.wait_s;
-    c.blocks = rc.blocks;
-    s.clocks.push_back(c);
-    s.finish_time = std::max(s.finish_time, rc.elapsed_s);
-    s.messages += rc.messages;
-    s.bytes += rc.bytes;
-    s.barriers += rc.barriers;
-    s.wait_ms += rc.wait_s * 1e3;
-  }
   if (config_.record_traffic) {
     s.traffic.resize(static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
     for (std::size_t i = 0; i < s.traffic.size(); ++i) {

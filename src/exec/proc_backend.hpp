@@ -10,16 +10,17 @@
 //
 // Coordination that must stay cheap and abort-safe lives in one small
 // shared-memory control block mapped before fork, whatever the transport:
-// per-rank liveness (parked flag, block reason, heartbeats), subset
-// barriers keyed on group content (arrival counters + a futex the last
-// arriver bumps), the global progress counter, the abort word, and the
-// per-rank final stats. A parent monitor thread diagnoses deadlock by the
-// same quiescence rule as the threaded engine (all unfinished ranks
-// parked, nothing in transit, progress unchanged across two samples) and
-// detects child death via waitpid; either failure — or a child exception
-// — freezes a per-rank introspection snapshot into the control block
-// *before* raising the abort word, so diagnostic bundles show every
-// rank's block reason exactly as the threaded backend's do.
+// one exec::RankLive per rank (parked flag, block reason, heartbeats,
+// awaited barrier, final stats — the runtime core shared with the threaded
+// engine, see rank_core.hpp), subset barriers keyed on group content
+// (arrival counters + a futex the last arriver bumps), the global progress
+// counter and the abort word. A parent monitor thread applies the same
+// quiescence rule as the threaded engine (all unfinished ranks parked,
+// nothing in transit, no awaited barrier already released, progress
+// unchanged across two samples) and detects child death via waitpid;
+// either failure — or a child exception — freezes a per-rank snapshot into
+// the control block *before* raising the abort word, so diagnostic bundles
+// show every rank's block reason exactly as the threaded backend's do.
 //
 // Determinism: messages are matched by (source, tag) in per-source FIFO
 // order (a property the transports guarantee per stream), barriers
@@ -42,13 +43,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "exec/backend.hpp"
+#include "exec/rank_core.hpp"
 #include "machine/config.hpp"
 #include "net/channel.hpp"
 
@@ -94,13 +96,6 @@ class ProcBackend final : public Backend {
   bool stealing_loops() const noexcept override { return false; }
 
  private:
-  struct MailKey {
-    int src;
-    std::uint64_t tag;
-    bool operator<(const MailKey& o) const {
-      return src != o.src ? src < o.src : tag < o.tag;
-    }
-  };
   /// One matched (or self-deposited) message awaiting its receive.
   struct PendingMsg {
     Payload data;
@@ -109,7 +104,9 @@ class ProcBackend final : public Backend {
   };
 
   double now_s() const;
-  void beat();
+  std::span<const RankLive> live() const;
+  RankLive& self_live() const;
+  void beat() { self_live().beat(now_s()); }
   void check_abort() const;  ///< throws AbortError when the abort word is up
   void reset_run_state();
   void drain_channel();      ///< moves transport frames into matched_/ctrl_frames_
@@ -119,7 +116,6 @@ class ProcBackend final : public Backend {
   /// when this caller was the first failer.
   bool fail_shm(std::uint32_t kind, const char* text);
   void wake_all_barriers();
-  void finish_rank(int rank);             ///< final per-rank counters into shm
   void child_main(const std::function<void(int)>& body, int rank);  // never returns
   /// Ships a finishing child's variable-size residue to rank 0: the metric
   /// delta against the fork-time snapshot, its trace shard, and its flight
@@ -143,14 +139,9 @@ class ProcBackend final : public Backend {
   // own rank right after.
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<net::Channel> chan_;
-  std::map<MailKey, std::deque<PendingMsg>> matched_;
+  MailStore<PendingMsg> matched_;
   std::vector<net::Frame> ctrl_frames_;              ///< rank 0: stashed control frames
   std::map<std::uint64_t, std::uint64_t> barrier_epoch_;  ///< per-group episode counter
-
-  // Per-rank tallies of the *calling* process (each process accounts only
-  // its own rank; written into the control block by finish_rank).
-  double wait_s_ = 0.0;
-  std::uint64_t blocks_ = 0, messages_ = 0, bytes_sent_ = 0, barriers_ = 0;
 
   // Parent-side bookkeeping.
   std::vector<pid_t> pids_;  ///< rank -> child pid (0 for rank 0 / reaped)

@@ -100,9 +100,7 @@ obs::Introspection SimBackend::introspect() const {
     } else {
       ws.state = "running";
     }
-    for (const auto& [key, q] : mailboxes_[static_cast<std::size_t>(r)]) {
-      ws.mailbox_depth += static_cast<std::int64_t>(q.size());
-    }
+    ws.mailbox_depth = static_cast<std::int64_t>(mailboxes_[static_cast<std::size_t>(r)].size());
     // The modeled clock doubles as the heartbeat: it stamps the last
     // moment this processor executed or was charged time.
     ws.last_beat = sim_->clock(r).now;
@@ -130,9 +128,7 @@ BackendStats SimBackend::stats() const {
 }
 
 void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
-  if (dst < 0 || dst >= num_procs()) {
-    throw std::out_of_range("Machine::deposit: bad destination " + std::to_string(dst));
-  }
+  require_rank(dst, num_procs(), "Machine::deposit: bad destination");
   const int src = sim_->current_rank();
   const std::size_t bytes = data.size();
   // Sender-side costs: software overhead plus wire serialization.
@@ -145,7 +141,7 @@ void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
     msg.trace_id = tracer_->message_sent(src, dst, tag, bytes, send_start, sim_->now());
   }
   const MailKey key{src, tag};
-  mailboxes_[static_cast<std::size_t>(dst)][key].push_back(std::move(msg));
+  mailboxes_[static_cast<std::size_t>(dst)].push(key, std::move(msg));
   stat_messages_ += 1;
   stat_bytes_ += bytes;
   progress_ += 1;
@@ -162,26 +158,20 @@ void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
 }
 
 Payload SimBackend::receive(int src, std::uint64_t tag) {
-  if (src < 0 || src >= num_procs()) {
-    throw std::out_of_range("Machine::receive: bad source " + std::to_string(src));
-  }
+  require_rank(src, num_procs(), "Machine::receive: bad source");
   const int dst = sim_->current_rank();
   const MailKey key{src, tag};
   auto& box = mailboxes_[static_cast<std::size_t>(dst)];
   const runtime::SimTime recv_entry = sim_->now();
   for (;;) {
-    auto it = box.find(key);
-    if (it != box.end() && !it->second.empty()) {
-      Message msg = std::move(it->second.front());
-      it->second.pop_front();
-      if (it->second.empty()) box.erase(it);
-      sim_->advance_to(msg.arrival);
-      if (tracer_ && msg.trace_id != 0) {
-        tracer_->message_received(msg.trace_id, recv_entry, sim_->now());
+    if (auto msg = box.pop(key)) {
+      sim_->advance_to(msg->arrival);
+      if (tracer_ && msg->trace_id != 0) {
+        tracer_->message_received(msg->trace_id, recv_entry, sim_->now());
       }
       sim_->advance(config_.recv_overhead);
       progress_ += 1;
-      return std::move(msg.data);
+      return std::move(msg->data);
     }
     WaitState& w = waits_[static_cast<std::size_t>(dst)];
     w.waiting = true;
@@ -194,10 +184,7 @@ Payload SimBackend::receive(int src, std::uint64_t tag) {
 
 void SimBackend::barrier(const pgroup::ProcessorGroup& group) {
   const int me = sim_->current_rank();
-  if (!group.contains(me)) {
-    throw std::logic_error("Machine::barrier: proc " + std::to_string(me) +
-                           " is not a member of group " + group.to_string());
-  }
+  pgroup::require_member(group, me, "Machine::barrier");
   stat_barriers_ += 1;
   progress_ += 1;
   const int n = group.size();
@@ -235,19 +222,12 @@ void SimBackend::barrier(const pgroup::ProcessorGroup& group) {
 
 void SimBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
                             std::int64_t hi, const ChunkBody& body) {
-  const int me = sim_->current_rank();
-  const int v = group.virtual_of(me);
-  if (v < 0) {
-    throw std::logic_error("Machine::run_chunks: proc " + std::to_string(me) +
-                           " is not a member of group " + group.to_string());
-  }
+  const int v = pgroup::require_member(group, sim_->current_rank(), "Machine::run_chunks");
   if (hi <= lo) return;
-  // The static schedule: the caller's whole block as one chunk. No
-  // synchronization, no stealing — deterministic programs behave exactly as
-  // if they had looped over loop_block() inline (which is what the seed
-  // parallel_for did).
-  const auto [first, last] = loop_block(lo, hi, group.size(), v);
-  if (first < last) body(first, last);
+  // The static schedule: no synchronization, no stealing — deterministic
+  // programs behave exactly as if they had looped over loop_block() inline
+  // (which is what the seed parallel_for did).
+  run_static_block(lo, hi, group.size(), v, body);
 }
 
 void SimBackend::io_operation(std::size_t bytes) {

@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "exec/backend.hpp"
+#include "exec/rank_core.hpp"
 #include "machine/config.hpp"
 
 namespace fxpar::exec {
@@ -52,11 +52,6 @@ class SimBackend final : public Backend {
   runtime::Simulator& sim() noexcept { return *sim_; }
 
  private:
-  struct MailKey {
-    int src;
-    std::uint64_t tag;
-    friend auto operator<=>(const MailKey&, const MailKey&) = default;
-  };
   struct Message {
     Payload data;
     runtime::SimTime arrival = 0.0;
@@ -78,7 +73,7 @@ class SimBackend final : public Backend {
   machine::MachineConfig config_;
   std::unique_ptr<runtime::Simulator> sim_;
   trace::TraceRecorder* tracer_ = nullptr;
-  std::vector<std::map<MailKey, std::deque<Message>>> mailboxes_;
+  std::vector<MailStore<Message>> mailboxes_;
   std::vector<WaitState> waits_;
   std::map<std::uint64_t, BarrierState> barriers_;  ///< keyed by group key
   runtime::SimTime io_available_ = 0.0;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "metrics/runtime_metrics.hpp"
 #include "obs/flight_recorder.hpp"
+#include "pgroup/group.hpp"
 #include "runtime/simulator.hpp"  // runtime::DeadlockError
 #include "trace/trace.hpp"
 
@@ -52,7 +54,9 @@ ThreadedBackend::TreeBarrier::TreeBarrier(std::vector<int> member_list)
 // ---------------------------------------------------------------------------
 // Construction / run lifecycle
 
-ThreadedBackend::ThreadedBackend(const machine::MachineConfig& config) : config_(config) {
+ThreadedBackend::ThreadedBackend(const machine::MachineConfig& config)
+    : config_(config),
+      live_(std::make_unique<RankLive[]>(static_cast<std::size_t>(config.num_procs))) {
   workers_.reserve(static_cast<std::size_t>(config_.num_procs));
   for (int r = 0; r < config_.num_procs; ++r) {
     workers_.push_back(std::make_unique<Worker>());
@@ -79,9 +83,7 @@ double ThreadedBackend::now_s() const {
 }
 
 double ThreadedBackend::now(int rank) const {
-  if (rank < 0 || rank >= num_procs()) {
-    throw std::out_of_range("ThreadedBackend::now: bad rank " + std::to_string(rank));
-  }
+  require_rank(rank, num_procs(), "ThreadedBackend::now: bad rank");
   return now_s();  // one real clock; every processor reads the same time
 }
 
@@ -109,34 +111,18 @@ void ThreadedBackend::free_pending_messages() {
       delete n;
       n = next;
     }
-    for (auto& [key, q] : w.sorted) {
-      for (MsgNode* n : q) delete n;
-    }
     w.sorted.clear();
   }
 }
 
 void ThreadedBackend::reset_run_state() {
   free_pending_messages();
-  for (auto& wp : workers_) {
-    Worker& w = *wp;
-    w.parked.store(false, std::memory_order_relaxed);
-    w.awaiting_tb.store(nullptr, std::memory_order_relaxed);
-    w.awaiting_ep.store(0, std::memory_order_relaxed);
+  for (int r = 0; r < num_procs(); ++r) {
+    Worker& w = *workers_[static_cast<std::size_t>(r)];
     w.barrier_epoch.clear();
     w.barrier_cache.clear();
     w.loop_epoch.clear();
-    w.elapsed_s = 0.0;
-    w.wait_s = 0.0;
-    w.blocks = w.messages = w.bytes = w.barriers = 0;
-    w.steals = w.stolen_iters = 0;
-    w.cpu.store(-1, std::memory_order_relaxed);
-    w.node.store(-1, std::memory_order_relaxed);
-    w.block_reason.store(nullptr, std::memory_order_relaxed);
-    w.mail_depth.store(0, std::memory_order_relaxed);
-    w.beats.store(0, std::memory_order_relaxed);
-    w.last_beat.store(-1.0, std::memory_order_relaxed);
-    w.done.store(false, std::memory_order_relaxed);
+    live_[r].reset();
   }
   if (!traffic_.empty()) std::fill(traffic_.begin(), traffic_.end(), 0);
   {
@@ -151,8 +137,6 @@ void ThreadedBackend::reset_run_state() {
   }
   aborted_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
-  parked_n_.store(0, std::memory_order_relaxed);
-  finished_n_.store(0, std::memory_order_relaxed);
   progress_.store(0, std::memory_order_relaxed);
   io_prev_proc_ = -1;
   {
@@ -210,17 +194,18 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
 
   for (int r = 0; r < p; ++r) {
     Worker& w = *workers_[static_cast<std::size_t>(r)];
+    RankLive& lv = live_[r];
     const WorkerPlacement place =
         pin_plan.empty() ? WorkerPlacement{} : pin_plan[static_cast<std::size_t>(r)];
-    w.thread = std::thread([this, &body, &w, r, place] {
+    w.thread = std::thread([this, &body, &lv, r, place] {
       t_owner = this;
       t_rank = r;
       if (place.cpu >= 0 && pin_current_thread(place)) {
-        w.cpu.store(place.cpu, std::memory_order_relaxed);
-        w.node.store(place.node, std::memory_order_relaxed);
+        lv.cpu.store(place.cpu, std::memory_order_relaxed);
+        lv.node.store(place.node, std::memory_order_relaxed);
         if (tracer_) tracer_->set_worker_placement(r, place.cpu, place.node);
       }
-      beat(w);
+      lv.beat(now_s());
       try {
         body(r);
       } catch (const AbortError&) {
@@ -228,12 +213,9 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
       } catch (...) {
         fail(std::current_exception());
       }
-      w.elapsed_s = now_s();
-      beat(w);
-      // `done` first: introspect() must never read "running" for a worker
-      // already counted in finished_n_.
-      w.done.store(true, std::memory_order_seq_cst);
-      finished_n_.fetch_add(1, std::memory_order_seq_cst);
+      lv.elapsed_s = now_s();
+      lv.beat(lv.elapsed_s);
+      lv.done.store(1, std::memory_order_seq_cst);
       // A worker that finishes may be the last thing a deadlock check is
       // waiting on; poke every parked peer so they re-evaluate.
       progress_.fetch_add(1, std::memory_order_seq_cst);
@@ -246,8 +228,8 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
 
   if (metrics_ && !pin_plan.empty()) {
     int pinned = 0;
-    for (const auto& wp : workers_) {
-      pinned += wp->cpu.load(std::memory_order_relaxed) >= 0 ? 1 : 0;
+    for (const RankLive& lv : live()) {
+      pinned += lv.cpu.load(std::memory_order_relaxed) >= 0 ? 1 : 0;
     }
     metrics_->pinned_workers->set(pinned);
   }
@@ -259,57 +241,35 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
 // Deadlock diagnosis
 
 bool ThreadedBackend::quiescent(std::uint64_t progress_snapshot) const {
-  const auto counters_quiet = [&] {
-    if (progress_.load(std::memory_order_seq_cst) != progress_snapshot) return false;
-    const int done = finished_n_.load(std::memory_order_seq_cst);
-    const int parked = parked_n_.load(std::memory_order_seq_cst);
-    if (done >= num_procs()) return false;  // run is completing normally
-    if (parked + done < num_procs()) return false;  // somebody is still running
-    return true;
-  };
-  if (!counters_quiet()) return false;
   // Counter deltas alone are not enough: a wakeup delivered *before* the
   // caller's snapshot (an inbox push, a barrier release) bumped progress_
-  // already, yet the woken worker may still be counted in parked_n_ until
-  // the scheduler runs it. Verify per-worker state: any pending wakeup
-  // means the system will move on its own.
-  for (const auto& wp : workers_) {
-    // An undrained inbox wakes its owner no matter when it was pushed.
-    if (wp->inbox.load(std::memory_order_seq_cst) != nullptr) return false;
-    // A released barrier episode this parked waiter has not consumed yet.
-    const TreeBarrier* tb = wp->awaiting_tb.load(std::memory_order_seq_cst);
-    if (tb != nullptr && tb->released.load(std::memory_order_seq_cst) >=
-                             wp->awaiting_ep.load(std::memory_order_seq_cst)) {
-      return false;
-    }
-  }
-  // Re-check the counters after the scan: a worker that consumed its wakeup
-  // while we scanned (drained its inbox, exited its barrier) decremented
-  // parked_n_ before clearing the state the scan looked at, so one of the
-  // two checks sees it.
-  return counters_quiet();
+  // already, yet the woken worker may still read parked until the scheduler
+  // runs it. The rule's evidence scan catches exactly that.
+  return exec::quiescent(
+      live(), progress_snapshot, [this] { return progress_.load(std::memory_order_seq_cst); },
+      [this](int r) {
+        // An undrained inbox wakes its owner no matter when it was pushed.
+        return workers_[static_cast<std::size_t>(r)]->inbox.load(std::memory_order_seq_cst) !=
+               nullptr;
+      },
+      [](std::uint64_t token, std::uint64_t episode) {
+        return reinterpret_cast<const TreeBarrier*>(token)->released.load(
+                   std::memory_order_seq_cst) >= episode;
+      });
 }
 
 void ThreadedBackend::report_deadlock() {
-  std::string detail = "deadlock: all processors blocked.";
-  for (int r = 0; r < num_procs(); ++r) {
-    const Worker& w = *workers_[static_cast<std::size_t>(r)];
-    const char* reason = w.block_reason.load(std::memory_order_acquire);
-    detail += "\n  proc " + std::to_string(r) + ": " + (reason ? reason : "finished");
-  }
-  fail(std::make_exception_ptr(runtime::DeadlockError(detail)));
+  fail(std::make_exception_ptr(runtime::DeadlockError(deadlock_text(live()))));
 }
 
 // ---------------------------------------------------------------------------
 // Messaging
 
 void ThreadedBackend::deposit(int dst, std::uint64_t tag, Payload data) {
-  if (dst < 0 || dst >= num_procs()) {
-    throw std::out_of_range("Machine::deposit: bad destination " + std::to_string(dst));
-  }
+  require_rank(dst, num_procs(), "Machine::deposit: bad destination");
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-  Worker& me = self();
-  beat(me);
+  RankLive& me = self_live();
+  me.beat(now_s());
   const int src = t_rank;
   const std::size_t bytes = data.size();
 
@@ -335,14 +295,14 @@ void ThreadedBackend::deposit(int dst, std::uint64_t tag, Payload data) {
     node->next = head;
   } while (!to.inbox.compare_exchange_weak(head, node, std::memory_order_release,
                                            std::memory_order_relaxed));
-  to.mail_depth.fetch_add(1, std::memory_order_relaxed);
+  live_[dst].mail_depth.fetch_add(1, std::memory_order_relaxed);
   progress_.fetch_add(1, std::memory_order_seq_cst);
 
   // Dekker-style handshake with the receiver's park sequence: the push
   // above is seq_cst-ordered before this load, and the receiver sets
   // `parked` before its final inbox check. Either we see parked and
   // notify, or the receiver's check sees our node.
-  if (to.parked.load(std::memory_order_seq_cst)) {
+  if (live_[dst].parked.load(std::memory_order_seq_cst) != 0) {
     std::lock_guard<std::mutex> lk(to.mu);
     to.cv.notify_all();
   }
@@ -350,8 +310,8 @@ void ThreadedBackend::deposit(int dst, std::uint64_t tag, Payload data) {
 
 void ThreadedBackend::drain_inbox(Worker& w) {
   // seq_cst, not acquire: quiescent() infers from a null inbox that the
-  // owner's earlier parked_n_ decrement is visible to its counter re-check,
-  // which needs the exchange in the single total order with the counters.
+  // owner's earlier `parked` clear is visible to its counter re-check,
+  // which needs the exchange in the single total order with the flags.
   MsgNode* n = w.inbox.exchange(nullptr, std::memory_order_seq_cst);
   // The Treiber stack yields newest-first; reverse to restore push order so
   // matching stays per-source FIFO like the simulator's deques.
@@ -365,17 +325,16 @@ void ThreadedBackend::drain_inbox(Worker& w) {
   while (in_order) {
     MsgNode* next = in_order->next;
     in_order->next = nullptr;
-    w.sorted[MailKey{in_order->src, in_order->tag}].push_back(in_order);
+    w.sorted.push(MailKey{in_order->src, in_order->tag}, std::unique_ptr<MsgNode>(in_order));
     in_order = next;
   }
 }
 
 Payload ThreadedBackend::receive(int src, std::uint64_t tag) {
-  if (src < 0 || src >= num_procs()) {
-    throw std::out_of_range("Machine::receive: bad source " + std::to_string(src));
-  }
+  require_rank(src, num_procs(), "Machine::receive: bad source");
   Worker& me = self();
-  beat(me);
+  RankLive& lv = live_[t_rank];
+  lv.beat(now_s());
   const MailKey key{src, tag};
   const double entry = now_s();
   bool blocked = false;
@@ -383,36 +342,26 @@ Payload ThreadedBackend::receive(int src, std::uint64_t tag) {
   for (int spin = 0;; ++spin) {
     if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
     drain_inbox(me);
-    auto it = me.sorted.find(key);
-    if (it != me.sorted.end() && !it->second.empty()) {
-      MsgNode* node = it->second.front();
-      it->second.pop_front();
-      if (it->second.empty()) me.sorted.erase(it);
-      me.mail_depth.fetch_sub(1, std::memory_order_relaxed);
-      beat(me);
-      if (blocked) {
-        me.wait_s += now_s() - entry;
-        me.blocks += 1;
+    if (auto node = me.sorted.pop(key)) {
+      lv.mail_depth.fetch_sub(1, std::memory_order_relaxed);
+      lv.beat(now_s());
+      if (blocked) lv.add_wait(now_s() - entry);
+      if (tracer_ && (*node)->trace_id != 0) {
+        tracer_->message_received_at((*node)->trace_id, t_rank, src, (*node)->sent_at, entry,
+                                     now_s());
       }
-      if (tracer_ && node->trace_id != 0) {
-        tracer_->message_received_at(node->trace_id, t_rank, node->src, node->sent_at,
-                                     entry, now_s());
-      }
-      Payload data = std::move(node->data);
-      delete node;
-      return data;
+      return std::move((*node)->data);
     }
     if (spin < kSpinRounds) {
       std::this_thread::yield();
       continue;
     }
     blocked = true;
-    me.block_reason.store("recv", std::memory_order_release);
+    lv.reason.store(BlockReason::Recv, std::memory_order_release);
     std::unique_lock<std::mutex> lk(me.mu);
-    me.parked.store(true, std::memory_order_seq_cst);
-    parked_n_.fetch_add(1, std::memory_order_seq_cst);
+    lv.parked.store(1, std::memory_order_seq_cst);
     // Final check under the parked flag: a sender that pushed before seeing
-    // parked==true is visible here; one that pushes after will notify.
+    // parked is visible here; one that pushes after will notify.
     if (me.inbox.load(std::memory_order_seq_cst) == nullptr &&
         !aborted_.load(std::memory_order_acquire)) {
       const std::uint64_t snap = progress_.load(std::memory_order_seq_cst);
@@ -430,37 +379,20 @@ Payload ThreadedBackend::receive(int src, std::uint64_t tag) {
         }
       }
     }
-    me.parked.store(false, std::memory_order_seq_cst);
-    parked_n_.fetch_sub(1, std::memory_order_seq_cst);
-    me.block_reason.store(nullptr, std::memory_order_release);
+    lv.parked.store(0, std::memory_order_seq_cst);
+    lv.reason.store(BlockReason::None, std::memory_order_release);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Subset barriers
 
-void ThreadedBackend::check_group_key_match(const std::vector<int>& registered,
-                                            const pgroup::ProcessorGroup& g,
-                                            const char* what) {
-  if (registered == g.members()) return;
-  std::string msg = "ThreadedBackend: group key collision in ";
-  msg += what;
-  msg += ": key " + std::to_string(g.key()) + " of group " + g.to_string() +
-         " is already registered for members [";
-  for (std::size_t i = 0; i < registered.size(); ++i) {
-    if (i) msg += ",";
-    msg += std::to_string(registered[i]);
-  }
-  msg += "]";
-  throw std::logic_error(msg);
-}
-
 std::shared_ptr<ThreadedBackend::TreeBarrier> ThreadedBackend::barrier_for(
     Worker& me, const pgroup::ProcessorGroup& g) {
   const std::uint64_t key = g.key();
   auto it = me.barrier_cache.find(key);
   if (it != me.barrier_cache.end()) {
-    check_group_key_match(it->second->members, g, "barrier_for");
+    pgroup::check_group_key_match(it->second->members, g, "ThreadedBackend::barrier_for");
     return it->second;
   }
   std::shared_ptr<TreeBarrier> tb;
@@ -472,7 +404,7 @@ std::shared_ptr<ThreadedBackend::TreeBarrier> ThreadedBackend::barrier_for(
   }
   // Validate outside the registry lock: a collision is a fatal program
   // error, and every later episode would hit the cached entry anyway.
-  check_group_key_match(tb->members, g, "barrier_for");
+  pgroup::check_group_key_match(tb->members, g, "ThreadedBackend::barrier_for");
   me.barrier_cache.emplace(key, tb);
   return tb;
 }
@@ -480,19 +412,16 @@ std::shared_ptr<ThreadedBackend::TreeBarrier> ThreadedBackend::barrier_for(
 void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
   Worker& me = self();
   const int rank = t_rank;
-  if (!group.contains(rank)) {
-    throw std::logic_error("Machine::barrier: proc " + std::to_string(rank) +
-                           " is not a member of group " + group.to_string());
-  }
+  const int vrank = pgroup::require_member(group, rank, "Machine::barrier");
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-  beat(me);
-  me.barriers += 1;
+  RankLive& lv = live_[rank];
+  lv.beat(now_s());
+  lv.barriers += 1;
   const int n = group.size();
   if (n == 1) return;
 
   std::shared_ptr<TreeBarrier> tb = barrier_for(me, group);
   const std::uint64_t episode = ++me.barrier_epoch[group.key()];
-  const int vrank = group.virtual_of(rank);
   const double arrived_at = now_s();
   if (tracer_) tb->arrive_t[static_cast<std::size_t>(vrank)] = arrived_at;
 
@@ -507,16 +436,7 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
     if (node == 0) {
       // Root: the whole group has arrived. Publish trace data, then release.
       if (tracer_) {
-        int last = 0;
-        double max_t = tb->arrive_t[0];
-        for (int i = 1; i < n; ++i) {
-          if (tb->arrive_t[static_cast<std::size_t>(i)] >= max_t) {
-            max_t = tb->arrive_t[static_cast<std::size_t>(i)];
-            last = i;
-          }
-        }
-        tb->last_arriver = group.members()[static_cast<std::size_t>(last)];
-        tb->max_arrival = max_t;
+        std::tie(tb->last_arriver, tb->max_arrival) = latest_arrival(tb->arrive_t.data(), group);
       }
       tb->released.store(episode, std::memory_order_seq_cst);
       progress_.fetch_add(1, std::memory_order_seq_cst);
@@ -537,14 +457,14 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
       std::this_thread::yield();
     }
     if (tb->released.load(std::memory_order_seq_cst) < episode) {
-      me.block_reason.store("barrier", std::memory_order_release);
+      lv.reason.store(BlockReason::Barrier, std::memory_order_release);
       std::unique_lock<std::mutex> lk(tb->mu);
       // Register what this park waits for (episode first, then the barrier)
-      // before counting it in parked_n_, so quiescent() can tell a genuine
-      // wait from a release the scheduler has not delivered yet.
-      me.awaiting_ep.store(episode, std::memory_order_seq_cst);
-      me.awaiting_tb.store(tb.get(), std::memory_order_seq_cst);
-      parked_n_.fetch_add(1, std::memory_order_seq_cst);
+      // before raising parked, so quiescent() can tell a genuine wait from
+      // a release the scheduler has not delivered yet.
+      lv.await_episode.store(episode, std::memory_order_seq_cst);
+      lv.await_token.store(reinterpret_cast<std::uint64_t>(tb.get()), std::memory_order_seq_cst);
+      lv.parked.store(1, std::memory_order_seq_cst);
       while (tb->released.load(std::memory_order_seq_cst) < episode &&
              !aborted_.load(std::memory_order_acquire)) {
         const std::uint64_t snap = progress_.load(std::memory_order_seq_cst);
@@ -556,19 +476,16 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
           lk.lock();
         }
       }
-      parked_n_.fetch_sub(1, std::memory_order_seq_cst);
-      me.awaiting_tb.store(nullptr, std::memory_order_seq_cst);
-      me.block_reason.store(nullptr, std::memory_order_release);
+      lv.parked.store(0, std::memory_order_seq_cst);
+      lv.await_token.store(0, std::memory_order_seq_cst);
+      lv.reason.store(BlockReason::None, std::memory_order_release);
     }
   }
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-  beat(me);
+  lv.beat(now_s());
 
   const double released_at = now_s();
-  if (released_at > arrived_at) {
-    me.wait_s += released_at - arrived_at;
-    me.blocks += 1;
-  }
+  if (released_at > arrived_at) lv.add_wait(released_at - arrived_at);
   if (tracer_) {
     tracer_->barrier_record(group.key(), episode, rank, arrived_at, released_at,
                             tb->last_arriver, tb->max_arrival);
@@ -582,22 +499,19 @@ void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64
                                  std::int64_t hi, const ChunkBody& body) {
   Worker& me = self();
   const int rank = t_rank;
-  const int v = group.virtual_of(rank);
-  if (v < 0) {
-    throw std::logic_error("Machine::run_chunks: proc " + std::to_string(rank) +
-                           " is not a member of group " + group.to_string());
-  }
+  const int v = pgroup::require_member(group, rank, "Machine::run_chunks");
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
   if (hi <= lo) return;
-  beat(me);
+  RankLive& lv = live_[rank];
+  lv.beat(now_s());
 
   const int n = group.size();
-  const auto [first, last] = loop_block(lo, hi, n, v);
   if (n == 1 || !config_.work_stealing) {
     // Static schedule: exactly the simulator's behaviour, no coordination.
-    if (first < last) body(first, last);
+    run_static_block(lo, hi, n, v, body);
     return;
   }
+  const auto [first, last] = loop_block(lo, hi, n, v);
 
   // Acquire (or create) the arena for this loop episode. The key mixes the
   // group's content key with this group's per-worker loop counter — SPMD
@@ -616,7 +530,7 @@ void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64
     if (!slot) slot = std::make_shared<LoopArena>(group.members(), episode);
     arena = slot;
   }
-  check_group_key_match(arena->members, group, "run_chunks");
+  pgroup::check_group_key_match(arena->members, group, "ThreadedBackend::run_chunks");
   if (arena->epoch != episode) {
     throw std::logic_error("ThreadedBackend::run_chunks: arena key collision (episode " +
                            std::to_string(arena->epoch) + " vs " + std::to_string(episode) +
@@ -687,7 +601,7 @@ void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64
       auto& ch = mine.storage[static_cast<std::size_t>(c)];
       if (!ch.taken.exchange(true, std::memory_order_acq_rel)) {
         run_one(mine, ch);
-        beat(me);
+        lv.beat(now_s());
       }
     }
 
@@ -713,9 +627,9 @@ void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64
           if (ch.taken.load(std::memory_order_relaxed)) continue;
           if (ch.taken.exchange(true, std::memory_order_acq_rel)) continue;
           run_one(s, ch);
-          beat(me);
-          me.steals += 1;
-          me.stolen_iters += static_cast<std::uint64_t>(ch.hi - ch.lo);
+          lv.beat(now_s());
+          lv.steals += 1;
+          lv.stolen_iters += static_cast<std::uint64_t>(ch.hi - ch.lo);
           if (metrics_) {
             metrics_->steals->add(rank);
             metrics_->stolen_iters->add(rank, static_cast<std::uint64_t>(ch.hi - ch.lo));
@@ -772,10 +686,10 @@ void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64
 // I/O device
 
 void ThreadedBackend::io_operation(std::size_t bytes) {
-  Worker& me = self();
+  RankLive& me = self_live();
   const int rank = t_rank;
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-  beat(me);
+  me.beat(now_s());
   const double entry = now_s();
   // The machine has one sequential I/O device; serialize real access to it
   // just as the simulator serializes modeled access. Only time spent
@@ -784,12 +698,11 @@ void ThreadedBackend::io_operation(std::size_t bytes) {
   // own work and stays in busy time.
   std::unique_lock<std::mutex> lk(io_mu_, std::try_to_lock);
   if (!lk.owns_lock()) {
-    me.block_reason.store("io", std::memory_order_release);
+    me.reason.store(BlockReason::Io, std::memory_order_release);
     lk.lock();
-    me.block_reason.store(nullptr, std::memory_order_release);
+    me.reason.store(BlockReason::None, std::memory_order_release);
     const double acquired = now_s();
-    me.wait_s += acquired - entry;
-    me.blocks += 1;
+    me.add_wait(acquired - entry);
     if (tracer_) {
       const int prev = io_prev_proc_;  // guarded by io_mu_, held since lk.lock()
       tracer_->io_wait(rank, entry, acquired, prev >= 0 ? prev : rank, entry);
@@ -806,36 +719,7 @@ void ThreadedBackend::io_operation(std::size_t bytes) {
 // Stats
 
 BackendStats ThreadedBackend::stats() const {
-  BackendStats s;
-  s.clocks.reserve(static_cast<std::size_t>(num_procs()));
-  for (const auto& wp : workers_) {
-    const Worker& w = *wp;
-    runtime::ProcClock c;
-    c.now = w.elapsed_s;
-    c.busy = std::max(0.0, w.elapsed_s - w.wait_s);
-    c.idle = w.wait_s;
-    c.blocks = w.blocks;
-    s.clocks.push_back(c);
-    s.finish_time = std::max(s.finish_time, w.elapsed_s);
-    s.messages += w.messages;
-    s.bytes += w.bytes;
-    s.barriers += w.barriers;
-    s.steals += w.steals;
-    s.stolen_iters += w.stolen_iters;
-    s.wait_ms += w.wait_s * 1e3;
-  }
-  // Surface placement only when some worker actually got pinned; the
-  // common unpinned case keeps the vector empty (and the JSON field out).
-  bool any_pinned = false;
-  for (const auto& wp : workers_) {
-    any_pinned = any_pinned || wp->cpu.load(std::memory_order_relaxed) >= 0;
-  }
-  if (any_pinned) {
-    s.numa_nodes.reserve(workers_.size());
-    for (const auto& wp : workers_) {
-      s.numa_nodes.push_back(wp->node.load(std::memory_order_relaxed));
-    }
-  }
+  BackendStats s = rank_stats(live());
   s.traffic = traffic_;
   return s;
 }
@@ -847,26 +731,8 @@ obs::Introspection ThreadedBackend::introspect() const {
   obs::Introspection out;
   out.now = now_s();
   const int p = num_procs();
-  out.workers.resize(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    const Worker& w = *workers_[static_cast<std::size_t>(r)];
-    obs::WorkerState& ws = out.workers[static_cast<std::size_t>(r)];
-    ws.rank = r;
-    const char* reason = w.block_reason.load(std::memory_order_acquire);
-    if (w.done.load(std::memory_order_acquire)) {
-      ws.state = "finished";
-    } else if (reason != nullptr) {
-      ws.state = "parked";
-      ws.block_reason = reason;
-    } else {
-      ws.state = "running";
-    }
-    ws.mailbox_depth =
-        std::max<std::int64_t>(0, w.mail_depth.load(std::memory_order_relaxed));
-    ws.cpu = w.cpu.load(std::memory_order_relaxed);
-    ws.node = w.node.load(std::memory_order_relaxed);
-    ws.last_beat = w.last_beat.load(std::memory_order_relaxed);
-  }
+  out.workers.reserve(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) out.workers.push_back(worker_state(live_[r], r));
   {
     // Unclaimed chunks still published in live loop arenas, attributed to
     // the owning member. The arrays are safe to scan under loop_mu_: an
@@ -897,8 +763,11 @@ obs::Introspection ThreadedBackend::introspect() const {
     std::lock_guard<std::mutex> lk(breg_mu_);
     for (const auto& [key, tb] : barrier_registry_) {
       int waiting = 0;
-      for (const auto& wp : workers_) {
-        if (wp->awaiting_tb.load(std::memory_order_acquire) == tb.get()) ++waiting;
+      for (const RankLive& lv : live()) {
+        waiting += lv.await_token.load(std::memory_order_acquire) ==
+                           reinterpret_cast<std::uint64_t>(tb.get())
+                       ? 1
+                       : 0;
       }
       if (waiting > 0) {
         out.barriers.push_back(obs::BarrierOccupancy{
@@ -915,13 +784,7 @@ obs::Introspection ThreadedBackend::failure_introspection() const {
 }
 
 std::uint64_t ThreadedBackend::progress() const noexcept {
-  // progress_ covers deposits, barrier releases and worker completions;
-  // the beat counters cover receives, loop chunks and io, so a run that is
-  // computing chunks (or spinning in a loop join) still reads as moving.
-  std::uint64_t p = progress_.load(std::memory_order_relaxed);
-  p += static_cast<std::uint64_t>(finished_n_.load(std::memory_order_relaxed));
-  for (const auto& wp : workers_) p += wp->beats.load(std::memory_order_relaxed);
-  return p;
+  return rank_progress(live(), progress_.load(std::memory_order_relaxed));
 }
 
 }  // namespace fxpar::exec

@@ -43,37 +43,29 @@
 //
 // A processor body that throws aborts the run: every parked worker is
 // woken and unwinds with AbortError, and run() rethrows the original
-// exception. A run in which every unfinished worker is parked with no
-// message in flight is reported as runtime::DeadlockError, mirroring the
-// simulator's diagnosis.
+// exception. Per-worker live state, stats, introspection and the deadlock
+// rule come from the runtime core shared with the process backend
+// (rank_core.hpp); a parked worker that finds the run quiescent reports
+// runtime::DeadlockError, mirroring the simulator's diagnosis.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "exec/backend.hpp"
+#include "exec/rank_core.hpp"
 #include "machine/config.hpp"
 
 namespace fxpar::exec {
-
-/// Unwinds a processor body that was parked (or about to park) when some
-/// other processor failed; run() swallows it and rethrows the first real
-/// exception instead.
-class AbortError : public std::runtime_error {
- public:
-  AbortError() : std::runtime_error("fxexec: run aborted by a failing processor") {}
-};
 
 class ThreadedBackend final : public Backend {
  public:
@@ -105,23 +97,7 @@ class ThreadedBackend final : public Backend {
     return config_.work_stealing && config_.num_procs > 1;
   }
 
-  /// Throws std::logic_error when `g`'s member list differs from the list
-  /// registered under the same 64-bit content key. Both the barrier
-  /// registry and the loop-arena registry apply this guard: two distinct
-  /// groups whose keys collide would otherwise share one TreeBarrier (or
-  /// arena) of the wrong shape and hang or mis-release. Public and static
-  /// so tests can exercise the collision path directly — forging a real
-  /// FNV-1a collision between two small member lists is not practical.
-  static void check_group_key_match(const std::vector<int>& registered,
-                                    const pgroup::ProcessorGroup& g, const char* what);
-
  private:
-  struct MailKey {
-    int src;
-    std::uint64_t tag;
-    friend auto operator<=>(const MailKey&, const MailKey&) = default;
-  };
-
   /// One message in flight. Allocated by the sender, freed by the receiver.
   struct MsgNode {
     MsgNode* next = nullptr;
@@ -143,7 +119,7 @@ class ThreadedBackend final : public Backend {
       std::atomic<int> pending{0};
       int fanin = 0;
     };
-    std::vector<int> members;      ///< collision guard: the registering group
+    std::vector<int> members;      ///< group-key collision guard: the registering group
     std::vector<Node> nodes;       ///< indexed by vrank; parent(i) = (i-1)/2
     std::vector<double> arrive_t;  ///< real arrival stamps (traced runs only)
     std::atomic<std::uint64_t> released{0};  ///< highest released episode
@@ -193,20 +169,14 @@ class ThreadedBackend final : public Backend {
     std::atomic<int> left{0};  ///< members done; the last one unregisters
   };
 
+  /// The transport and barrier-cache side of one worker; its live state
+  /// is the RankLive of the same rank in live_.
   struct alignas(64) Worker {
     // ---- mailbox: lock-free MPSC inbox, owner-side sorted store ----
     std::atomic<MsgNode*> inbox{nullptr};
-    std::atomic<bool> parked{false};  ///< owner is (about to be) asleep
     std::mutex mu;
     std::condition_variable cv;
-    std::map<MailKey, std::deque<MsgNode*>> sorted;  ///< owner thread only
-
-    // ---- barrier park registration, read by quiescent() ----
-    // Set (episode first) before this worker counts itself in parked_n_ at
-    // a barrier, cleared after it uncounts itself; quiescent() uses them to
-    // see a released episode the parked waiter has not consumed yet.
-    std::atomic<TreeBarrier*> awaiting_tb{nullptr};
-    std::atomic<std::uint64_t> awaiting_ep{0};
+    MailStore<std::unique_ptr<MsgNode>> sorted;  ///< owner thread only
 
     // ---- owner-thread-local state ----
     std::unordered_map<std::uint64_t, std::uint64_t> barrier_epoch;
@@ -216,39 +186,14 @@ class ThreadedBackend final : public Backend {
     /// per-worker counters agree and name the same arena.
     std::unordered_map<std::uint64_t, std::uint64_t> loop_epoch;
 
-    // ---- per-worker counters, merged by stats() after the join ----
-    double elapsed_s = 0.0;  ///< real seconds from run start to body end
-    double wait_s = 0.0;     ///< real seconds parked (recv/barrier/io)
-    std::uint64_t blocks = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t barriers = 0;
-    std::uint64_t steals = 0;        ///< chunks this worker stole from siblings
-    std::uint64_t stolen_iters = 0;  ///< iterations run on behalf of siblings
-    // Where this worker landed under MachineConfig::pinning: the pinned
-    // CPU and its NUMA node, or -1/-1 when unpinned (policy none, or the
-    // affinity call failed). Written by the worker thread before the body
-    // starts; atomics because introspect() reads them mid-run.
-    std::atomic<int> cpu{-1};
-    std::atomic<int> node{-1};
-    std::atomic<const char*> block_reason{nullptr};  ///< static string or null
-
-    // ---- live-introspection state (all reads/writes atomic) ----
-    std::atomic<std::int64_t> mail_depth{0};  ///< deposited - received
-    std::atomic<std::uint64_t> beats{0};      ///< runtime-service heartbeats
-    std::atomic<double> last_beat{-1.0};      ///< now_s() of the last beat
-    std::atomic<bool> done{false};            ///< body returned / unwound
-
     std::thread thread;
   };
 
   double now_s() const;
   Worker& self();
-  /// Stamps `w`'s heartbeat: introspection's liveness signal and one unit
-  /// of watchdog progress. Relaxed — an approximate timeline is enough.
-  void beat(Worker& w) {
-    w.last_beat.store(now_s(), std::memory_order_relaxed);
-    w.beats.fetch_add(1, std::memory_order_relaxed);
+  RankLive& self_live() { return live_[current_rank()]; }
+  std::span<const RankLive> live() const {
+    return {live_.get(), static_cast<std::size_t>(num_procs())};
   }
   void drain_inbox(Worker& w);
   std::shared_ptr<TreeBarrier> barrier_for(Worker& me, const pgroup::ProcessorGroup& g);
@@ -258,16 +203,17 @@ class ThreadedBackend final : public Backend {
   /// Frees every queued MsgNode (undrained inboxes and sorted stores).
   /// Call only when no worker thread is running.
   void free_pending_messages();
-  /// True when every unfinished worker is parked, nothing moved since
-  /// `progress_snapshot`, and no worker has a pending wakeup — an undrained
-  /// inbox or a released barrier episode it has not consumed; the caller
-  /// then reports a deadlock.
+  /// The shared quiescence rule (rank_core.hpp) with this backend's
+  /// wakeup evidence: an undrained inbox, or a TreeBarrier whose awaited
+  /// episode is released.
   bool quiescent(std::uint64_t progress_snapshot) const;
+  /// Fails the run with the shared DeadlockError text.
   void report_deadlock();
 
   machine::MachineConfig config_;
   trace::TraceRecorder* tracer_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<RankLive[]> live_;  ///< indexed by rank
   std::vector<std::uint64_t> traffic_;  ///< src * P + dst; row src owned by its worker
   std::chrono::steady_clock::time_point t0_;
 
@@ -275,9 +221,7 @@ class ThreadedBackend final : public Backend {
   std::mutex err_mu_;
   std::exception_ptr first_error_;
 
-  std::atomic<int> parked_n_{0};
-  std::atomic<int> finished_n_{0};
-  std::atomic<std::uint64_t> progress_{0};  ///< bumped by deposits and releases
+  std::atomic<std::uint64_t> progress_{0};  ///< bumped by deposits, releases and finishes
 
   mutable std::mutex breg_mu_;  ///< mutable: introspect() is const
   std::unordered_map<std::uint64_t, std::shared_ptr<TreeBarrier>> barrier_registry_;

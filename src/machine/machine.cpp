@@ -1,5 +1,6 @@
 #include "machine/machine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -30,7 +31,8 @@ std::uint64_t RunResult::traffic_between(int src, int dst) const {
 
 Machine::Machine(MachineConfig config) : config_(config) {
   config_.validate();
-  pool_shards_ = std::vector<PoolShard>(static_cast<std::size_t>(config_.num_procs));
+  payloads_.init(config_.num_procs);
+  doubles_.init(config_.num_procs);
   switch (config_.backend) {
     case exec::BackendKind::Sim:
       backend_ = std::make_unique<exec::SimBackend>(config_);
@@ -82,34 +84,49 @@ Machine::Machine(MachineConfig config) : config_(config) {
 
 namespace {
 
-/// Shard index for metric updates: the calling processor's rank, or 0 when
-/// invoked outside a processor body (the driver thread).
-int metric_shard(const exec::Backend& backend) noexcept {
+/// The calling processor's rank, or -1 outside a processor body (the
+/// driver thread).
+int calling_rank(const exec::Backend& backend) noexcept {
   try {
     return backend.current_rank();
   } catch (...) {
-    return 0;
+    return -1;
   }
+}
+
+/// Shard index for metric updates: the calling rank, or 0 on the driver.
+int metric_shard(const exec::Backend& backend) noexcept {
+  return std::max(0, calling_rank(backend));
 }
 
 }  // namespace
 
-void Machine::count_plan_cache(bool hit) noexcept {
-  (hit ? stat_plan_hits_ : stat_plan_misses_).fetch_add(1, std::memory_order_relaxed);
-  if (!metrics_ && !tracer_) return;
-  const int rank = metric_shard(*backend_);
-  if (metrics_) (hit ? metrics_->plan_hits : metrics_->plan_misses)->add(rank);
-  if (tracer_) tracer_->plan_cache_event(rank, hit);
-}
-
-void Machine::count_collective_plan(bool hit) noexcept {
-  (hit ? stat_coll_hits_ : stat_coll_misses_).fetch_add(1, std::memory_order_relaxed);
+void Machine::count_plan(PlanKind kind, bool hit) noexcept {
+  const auto k = static_cast<std::size_t>(kind);
+  stat_plans_[k][hit ? 1 : 0].fetch_add(1, std::memory_order_relaxed);
   if (!metrics_ && !tracer_) return;
   const int rank = metric_shard(*backend_);
   if (metrics_) {
-    (hit ? metrics_->collective_plan_hits : metrics_->collective_plan_misses)->add(rank);
+    metrics::Counter* const counters[2][2] = {
+        {metrics_->plan_misses, metrics_->plan_hits},
+        {metrics_->collective_plan_misses, metrics_->collective_plan_hits}};
+    counters[k][hit ? 1 : 0]->add(rank);
   }
   if (tracer_) tracer_->plan_cache_event(rank, hit);
+}
+
+std::size_t Machine::next_cache_slot() {
+  static std::atomic<std::size_t> next{0};
+  const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
+  if (slot >= kCacheSlots) throw std::logic_error("Machine::cache: out of cache slots");
+  return slot;
+}
+
+int Machine::pool_rank() const noexcept { return calling_rank(*backend_); }
+
+void Machine::count_pool_spill(int rank) noexcept {
+  stat_pool_spills_.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_) metrics_->pool_spills->add(rank);
 }
 
 Machine::~Machine() {
@@ -184,10 +201,13 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
   res.backend = backend_->name();
   res.host_ms = std::chrono::duration<double, std::milli>(host_t1 - host_t0).count();
   res.wait_ms = bs.wait_ms;
-  res.plan_cache_hits = stat_plan_hits_.load(std::memory_order_relaxed);
-  res.plan_cache_misses = stat_plan_misses_.load(std::memory_order_relaxed);
-  res.collective_plan_hits = stat_coll_hits_.load(std::memory_order_relaxed);
-  res.collective_plan_misses = stat_coll_misses_.load(std::memory_order_relaxed);
+  const auto plans = [this](PlanKind k, bool hit) {
+    return stat_plans_[static_cast<std::size_t>(k)][hit ? 1 : 0].load(std::memory_order_relaxed);
+  };
+  res.plan_cache_hits = plans(PlanKind::Redist, true);
+  res.plan_cache_misses = plans(PlanKind::Redist, false);
+  res.collective_plan_hits = plans(PlanKind::Collective, true);
+  res.collective_plan_misses = plans(PlanKind::Collective, false);
   res.pool_spills = stat_pool_spills_.load(std::memory_order_relaxed);
   res.pinning = exec::pin_policy_name(config_.pinning);
   res.numa_nodes = bs.numa_nodes;
@@ -273,12 +293,7 @@ std::string Machine::healthz_json() const {
   os << "{\"status\":\"" << (st == 3 ? "failed" : "ok") << "\",\"run_state\":\""
      << kStates[st < 0 || st > 3 ? 0 : st] << "\",\"backend\":\""
      << backend_->name() << "\",\"procs\":" << num_procs();
-  // Per-worker liveness. The simulator's introspection is fiber-mutated
-  // state, unsafe to touch while its run thread executes; the threaded
-  // backend answers from atomics at any time.
-  const bool live_sim_run =
-      backend_->kind() == exec::BackendKind::Sim && st == 1;
-  if (!live_sim_run) {
+  if (introspection_safe()) {
     const obs::Introspection intro = backend_->introspect();
     os << ",\"now\":" << intro.now
        << ",\"workers\":" << obs::workers_json(intro.workers, intro.now)
@@ -314,11 +329,7 @@ std::string Machine::capture_diagnostic(const std::string& reason,
   // backend captures one before waking workers to unwind); fall back to a
   // live one when it is safe to take.
   d.intro = backend_->failure_introspection();
-  if (d.intro.workers.empty()) {
-    const bool live_sim_run = backend_->kind() == exec::BackendKind::Sim &&
-                              run_state_.load(std::memory_order_acquire) == 1;
-    if (!live_sim_run) d.intro = backend_->introspect();
-  }
+  if (d.intro.workers.empty() && introspection_safe()) d.intro = backend_->introspect();
   if (metrics_) d.metrics_json = metrics_->registry.snapshot().to_json();
   if (flight_) d.recent = flight_->snapshot();
   std::string bundle = obs::diagnostic_json(d);
@@ -382,105 +393,6 @@ void Machine::watchdog_loop() {
     std::fprintf(stderr, "fxpar stall watchdog: %s\n", bundle.c_str());
     lk.lock();
     last_change = now;  // re-arm: report again after another full window
-  }
-}
-
-namespace {
-
-/// Pool shard of the calling processor, or -1 from the driver thread
-/// (which has no shard and goes straight to the shared spill list).
-int pool_shard_rank(const exec::Backend& backend) noexcept {
-  try {
-    return backend.current_rank();
-  } catch (...) {
-    return -1;
-  }
-}
-
-}  // namespace
-
-Payload Machine::pool_acquire(std::size_t bytes) {
-  Payload p;
-  const int rank = pool_shard_rank(*backend_);
-  if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].bufs;
-    if (!shard.empty()) {
-      p = std::move(shard.back());
-      shard.pop_back();
-    }
-  }
-  if (p.capacity() == 0) {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (!payload_pool_.empty()) {
-      p = std::move(payload_pool_.back());
-      payload_pool_.pop_back();
-    }
-  }
-  // Same-size reuse makes this resize a no-op: unlike a freshly
-  // constructed Payload there is no value-initializing memset. Contents
-  // are unspecified by contract; every caller overwrites the buffer.
-  p.resize(bytes);
-  return p;
-}
-
-std::vector<double> Machine::double_acquire(std::size_t n) {
-  std::vector<double> v;
-  const int rank = pool_shard_rank(*backend_);
-  if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].dbufs;
-    if (!shard.empty()) {
-      v = std::move(shard.back());
-      shard.pop_back();
-    }
-  }
-  if (v.capacity() == 0) {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (!double_pool_.empty()) {
-      v = std::move(double_pool_.back());
-      double_pool_.pop_back();
-    }
-  }
-  // Same-capacity reuse makes this resize a no-op (no value-initializing
-  // memset of a fresh vector). Contents are unspecified by contract.
-  v.resize(n);
-  return v;
-}
-
-void Machine::double_release(std::vector<double>&& v) {
-  if (v.capacity() == 0) return;
-  const int rank = pool_shard_rank(*backend_);
-  if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].dbufs;
-    if (shard.size() < kMaxShardPayloads) {
-      shard.push_back(std::move(v));
-      return;
-    }
-    stat_pool_spills_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->pool_spills->add(rank);
-  }
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  if (double_pool_.size() < kMaxPooledPayloads) {
-    double_pool_.push_back(std::move(v));
-  }
-}
-
-void Machine::pool_release(Payload&& p) {
-  if (p.capacity() == 0) return;
-  const int rank = pool_shard_rank(*backend_);
-  if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].bufs;
-    if (shard.size() < kMaxShardPayloads) {
-      shard.push_back(std::move(p));
-      return;
-    }
-    // Shard full: spill to the shared list so senders elsewhere can
-    // reacquire the allocation (buffers migrate sender -> receiver).
-    stat_pool_spills_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->pool_spills->add(rank);
-  }
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  if (payload_pool_.size() < kMaxPooledPayloads) {
-    payload_pool_.push_back(std::move(p));
   }
 }
 

@@ -1,14 +1,17 @@
 // fxpar machine: the SPMD multicomputer.
 //
 // Machine owns one execution backend (exec/backend.hpp) — the
-// deterministic discrete-event simulator or the shared-memory threaded
-// engine, selected by MachineConfig::backend — plus everything that is
-// backend-independent: the trace recorder, the redistribution plan-cache
-// slot, the payload buffer pool and the per-run statistics. It launches an
-// SPMD program body on every logical processor. User code never touches
-// Machine directly while running; it receives a Context (see context.hpp).
+// deterministic discrete-event simulator, the shared-memory threaded
+// engine or the process-per-rank engine, selected by
+// MachineConfig::backend — plus everything that is backend-independent:
+// the trace recorder, metrics and flight recorder, the typed cache-slot
+// registry (redistribution and collective plan caches), the buffer pools
+// and the per-run statistics. It launches an SPMD program body on every
+// logical processor. User code never touches Machine directly while
+// running; it receives a Context (see context.hpp).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -18,6 +21,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "exec/backend.hpp"
@@ -36,18 +40,24 @@ class Context;
 /// Raw bytes exchanged by the direct-deposit layer.
 using Payload = exec::Payload;
 
-/// Base class for caches that higher layers attach to the machine (the dist
-/// layer's redistribution plan cache, see dist/plan_cache.hpp). The machine
-/// owns the storage so cached schedules are shared by all processors and
-/// survive across run() calls; the attaching layer owns the concrete type.
+/// Base class for caches that higher layers attach to the machine (see
+/// Machine::cache). The machine owns the storage so cached schedules are
+/// shared by all processors and survive across run() calls; the attaching
+/// layer owns the concrete type.
 class MachineCacheBase {
  public:
   virtual ~MachineCacheBase() = default;
 };
 
+/// Which plan cache a hit or miss belongs to (Machine::count_plan).
+enum class PlanKind : std::uint8_t {
+  Redist,      ///< dist/plan_cache.hpp redistribution and halo schedules
+  Collective,  ///< comm/collective_plan.hpp collective schedules
+};
+
 /// Aggregate results of one run. The time fields are backend-defined:
 /// modeled machine seconds on the simulator, real host seconds on the
-/// threaded backend (docs/execution.md).
+/// threaded and process backends (docs/execution.md).
 struct RunResult {
   runtime::SimTime finish_time = 0.0;  ///< completion time of the slowest processor
   std::vector<runtime::ProcClock> clocks;
@@ -62,16 +72,16 @@ struct RunResult {
   std::uint64_t steals = 0;
   std::uint64_t stolen_iters = 0;
 
-  /// Which engine executed the run: "sim" or "threads".
+  /// Which engine executed the run: "sim", "threads" or "proc".
   std::string backend = "sim";
 
-  /// Real wall-clock milliseconds spent inside Machine::run (both
-  /// backends): simulation overhead on `sim`, actual parallel execution
-  /// on `threads`.
+  /// Real wall-clock milliseconds spent inside Machine::run (every
+  /// backend): simulation overhead on `sim`, actual parallel execution on
+  /// `threads` and `proc`.
   double host_ms = 0.0;
 
-  /// Total real milliseconds processors spent blocked (threaded backend
-  /// only; 0 on the simulator, whose idle time is modeled, not real).
+  /// Total real milliseconds processors spent blocked (threads and proc;
+  /// 0 on the simulator, whose idle time is modeled, not real).
   double wait_ms = 0.0;
 
   /// Redistribution plan cache counters (see dist/plan_cache.hpp): a miss
@@ -210,35 +220,52 @@ class Machine {
   std::string capture_diagnostic(const std::string& reason,
                                  const std::string& error);
 
-  // ---- redistribution plan cache slot (see dist/plan_cache.hpp) ----
-
-  /// The attached plan cache, or nullptr before first use.
-  MachineCacheBase* plan_cache_slot() noexcept { return plan_cache_.get(); }
-  void set_plan_cache_slot(std::unique_ptr<MachineCacheBase> cache) {
-    plan_cache_ = std::move(cache);
-  }
-  /// Serializes plan-cache attachment and lookup across worker threads
-  /// (the simulator's fibers never contend on it).
-  std::mutex& cache_mutex() noexcept { return cache_mu_; }
-  /// Bumps the hit/miss counters reported through RunResult, the metrics
-  /// registry, and the calling processor's open trace spans. Atomic: on
-  /// the threaded backend every worker counts concurrently.
-  void count_plan_cache(bool hit) noexcept;
-
-  // ---- collective plan cache slot (see comm/collective_plan.hpp) ----
+  // ---- typed cache-slot registry ----
   //
-  // A second, independent slot: the comm layer cannot see the dist layer's
-  // PlanCache type (comm links below dist), and keeping the counters apart
-  // lets A/B gates assert on redistribution and collective caching
-  // separately. Attachment is serialized by the same cache_mutex().
+  // Higher layers attach their caches here without the machine knowing
+  // their types (comm and dist both link above machine): the redistribution
+  // PlanCache (dist/plan_cache.hpp) and the CollectiveCache
+  // (comm/collective_plan.hpp). Each cache type gets one fixed slot index
+  // on first use, so a lookup is one lock and one array access.
 
-  /// The attached collective-schedule cache, or nullptr before first use.
-  MachineCacheBase* collective_cache_slot() noexcept { return collective_cache_.get(); }
-  void set_collective_cache_slot(std::unique_ptr<MachineCacheBase> cache) {
-    collective_cache_ = std::move(cache);
+  /// The machine's `T` cache, default-constructed on first use. Attachment
+  /// is serialized under one mutex across worker threads (the simulator's
+  /// fibers never contend on it); `T` does its own locking after that.
+  template <class T>
+  T& cache() {
+    static_assert(std::is_base_of_v<MachineCacheBase, T>);
+    static const std::size_t slot = next_cache_slot();
+    std::lock_guard<std::mutex> lk(cache_mu_);
+    auto& c = caches_[slot];
+    if (!c) c = std::make_unique<T>();
+    return static_cast<T&>(*c);
   }
-  /// Collective-plan counterpart of count_plan_cache().
-  void count_collective_plan(bool hit) noexcept;
+
+  /// Bumps the `kind` hit/miss counters reported through RunResult, the
+  /// metrics registry, and the calling processor's open trace spans.
+  /// Atomic: on the concurrent backends every worker counts at once.
+  void count_plan(PlanKind kind, bool hit) noexcept;
+
+  /// The plan caches' memo step, called under the cache's own lock:
+  /// returns `table[key]`, building it with `build()` on a miss, and counts
+  /// the hit or miss as `kind`. A table already holding `cap` entries is
+  /// dropped before the insert (outstanding shared_ptr holders keep their
+  /// schedules alive): real programs repeat a handful of plans, so
+  /// eviction is a safety valve, not a hot path.
+  template <class Table, class Build>
+  typename Table::mapped_type memo_plan(PlanKind kind, Table& table,
+                                        typename Table::key_type key, std::size_t cap,
+                                        Build&& build) {
+    if (auto it = table.find(key); it != table.end()) {
+      count_plan(kind, true);
+      return it->second;
+    }
+    count_plan(kind, false);
+    typename Table::mapped_type plan = build();
+    if (table.size() >= cap) table.clear();
+    table.emplace(std::move(key), plan);
+    return plan;
+  }
 
   // ---- payload buffer pool ----
   //
@@ -256,11 +283,11 @@ class Machine {
   /// A buffer of exactly `bytes` bytes, reusing a pooled allocation if
   /// any. The *contents are unspecified* — every caller overwrites the
   /// buffer in full before the bytes become visible to anyone.
-  Payload pool_acquire(std::size_t bytes);
+  Payload pool_acquire(std::size_t bytes) { return payloads_.acquire(pool_rank(), bytes); }
 
   /// Returns a spent buffer to the releasing worker's shard (spilling to
   /// the shared list when the shard is full; dropped once both are full).
-  void pool_release(Payload&& p);
+  void pool_release(Payload&& p) { release_to(payloads_, std::move(p)); }
 
   /// Releases that overflowed a worker shard onto the shared spill list
   /// (cumulative; also exported as fxpar_machine_pool_spills_total).
@@ -280,24 +307,98 @@ class Machine {
 
   /// A vector of exactly `n` doubles, reusing a pooled allocation if any.
   /// Contents are unspecified; every caller overwrites them in full.
-  std::vector<double> double_acquire(std::size_t n);
+  std::vector<double> double_acquire(std::size_t n) { return doubles_.acquire(pool_rank(), n); }
 
   /// Returns a spent double vector to the calling worker's shard.
-  void double_release(std::vector<double>&& v);
+  void double_release(std::vector<double>&& v) { release_to(doubles_, std::move(v)); }
 
  private:
-  /// One worker's private stash of spent payload buffers. Cache-line
-  /// aligned so neighbouring ranks' pushes never false-share.
-  struct alignas(64) PoolShard {
-    std::vector<Payload> bufs;
-    std::vector<std::vector<double>> dbufs;
+  /// Shard-then-spill pool of spent vectors of one type: per-rank shards
+  /// the owning worker pushes and pops without a lock (the backend runs one
+  /// worker per rank), and a shared spill list under a mutex for shard
+  /// overflow, empty-shard acquires and the driver thread (rank -1).
+  template <class V>
+  class Pool {
+   public:
+    void init(int procs) { shards_ = std::vector<Shard>(static_cast<std::size_t>(procs)); }
+
+    V acquire(int rank, std::size_t n) {
+      V v;
+      if (rank >= 0) {
+        auto& shard = shards_[static_cast<std::size_t>(rank)].bufs;
+        if (!shard.empty()) {
+          v = std::move(shard.back());
+          shard.pop_back();
+        }
+      }
+      if (v.capacity() == 0) {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (!spill_.empty()) {
+          v = std::move(spill_.back());
+          spill_.pop_back();
+        }
+      }
+      // Same-size reuse makes this resize a no-op: unlike a freshly
+      // constructed vector there is no value-initializing memset. Contents
+      // are unspecified by contract; every caller overwrites them.
+      v.resize(n);
+      return v;
+    }
+
+    /// Keeps `v` for reuse. True when a worker's full shard spilled it to
+    /// the shared list (dropped once that is full too).
+    bool release(int rank, V&& v) {
+      if (v.capacity() == 0) return false;
+      bool spilled = false;
+      if (rank >= 0) {
+        auto& shard = shards_[static_cast<std::size_t>(rank)].bufs;
+        if (shard.size() < kMaxShard) {
+          shard.push_back(std::move(v));
+          return false;
+        }
+        spilled = true;
+      }
+      std::lock_guard<std::mutex> lk(mu_);
+      if (spill_.size() < kMaxSpill) spill_.push_back(std::move(v));
+      return spilled;
+    }
+
+   private:
+    static constexpr std::size_t kMaxShard = 16;
+    static constexpr std::size_t kMaxSpill = 64;
+    /// Cache-line aligned so neighbouring ranks' pushes never false-share.
+    struct alignas(64) Shard {
+      std::vector<V> bufs;
+    };
+    std::vector<Shard> shards_;
+    std::mutex mu_;
+    std::vector<V> spill_;
   };
+
+  /// Pool shard of the calling processor, or -1 from the driver thread.
+  int pool_rank() const noexcept;
+  /// Releases into `pool`, counting a spill (RunResult::pool_spills and
+  /// fxpar_pool_spills) when the caller's shard overflowed.
+  template <class V>
+  void release_to(Pool<V>& pool, V&& v) {
+    const int rank = pool_rank();
+    if (pool.release(rank, std::move(v))) count_pool_spill(rank);
+  }
+  void count_pool_spill(int rank) noexcept;
+  static std::size_t next_cache_slot();
 
   /// True when any observability feature that wants failure bundles on
   /// stderr is on (endpoint, flight recorder or watchdog).
   bool obs_enabled() const noexcept {
     return config_.obs_port >= 0 || config_.flight_recorder ||
            config_.stall_watchdog_s > 0;
+  }
+  /// Per-worker liveness can be read now: the simulator's introspection is
+  /// fiber-mutated state, unsafe while its run thread executes; the
+  /// concurrent backends answer from atomics at any time.
+  bool introspection_safe() const noexcept {
+    return backend_->kind() != exec::BackendKind::Sim ||
+           run_state_.load(std::memory_order_acquire) != 1;
   }
   void start_watchdog();
   void stop_watchdog();
@@ -324,22 +425,16 @@ class Machine {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  ///< guarded by watchdog_mu_
 
-  std::atomic<std::uint64_t> stat_plan_hits_{0};
-  std::atomic<std::uint64_t> stat_plan_misses_{0};
-  std::atomic<std::uint64_t> stat_coll_hits_{0};
-  std::atomic<std::uint64_t> stat_coll_misses_{0};
+  /// Plan-cache counters, [PlanKind][hit].
+  std::array<std::array<std::atomic<std::uint64_t>, 2>, 2> stat_plans_{};
   std::atomic<std::uint64_t> stat_pool_spills_{0};
 
+  static constexpr std::size_t kCacheSlots = 4;
   std::mutex cache_mu_;
-  std::unique_ptr<MachineCacheBase> plan_cache_;
-  std::unique_ptr<MachineCacheBase> collective_cache_;
+  std::array<std::unique_ptr<MachineCacheBase>, kCacheSlots> caches_;
 
-  std::vector<PoolShard> pool_shards_;  ///< one per rank; owner access only
-  std::mutex pool_mu_;
-  std::vector<Payload> payload_pool_;  ///< shared spill list (pool_mu_)
-  std::vector<std::vector<double>> double_pool_;  ///< shared spill list (pool_mu_)
-  static constexpr std::size_t kMaxShardPayloads = 16;
-  static constexpr std::size_t kMaxPooledPayloads = 64;
+  Pool<Payload> payloads_;
+  Pool<std::vector<double>> doubles_;
 
   /// Declared last: its handlers capture `this` and read every member
   /// above, so the server thread must be the first thing destroyed.

@@ -62,6 +62,28 @@ void ProcessorGroup::compute_key() {
   key_ = h;
 }
 
+int require_member(const ProcessorGroup& g, int rank, const char* what) {
+  const int v = g.virtual_of(rank);
+  if (v < 0) {
+    throw std::logic_error(std::string(what) + ": proc " + std::to_string(rank) +
+                           " is not a member of group " + g.to_string());
+  }
+  return v;
+}
+
+void throw_group_key_collision(const std::vector<int>& registered, const ProcessorGroup& g,
+                               const char* what) {
+  std::string msg = std::string("group key collision in ") + what + ": key " +
+                    std::to_string(g.key()) + " of group " + g.to_string() +
+                    " is already registered for members [";
+  for (std::size_t i = 0; i < registered.size(); ++i) {
+    if (i) msg += ",";
+    msg += std::to_string(registered[i]);
+  }
+  msg += "]";
+  throw std::logic_error(msg);
+}
+
 std::string ProcessorGroup::to_string() const {
   std::ostringstream oss;
   oss << "{";

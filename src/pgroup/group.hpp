@@ -63,4 +63,27 @@ class ProcessorGroup {
   std::uint64_t key_ = 0;
 };
 
+/// Virtual rank of physical `rank` in `g`. Throws std::logic_error
+/// ("<what>: proc N is not a member of group G") when it is not a member:
+/// every subset service (barriers, loops) requires the caller to belong to
+/// the group it names.
+int require_member(const ProcessorGroup& g, int rank, const char* what);
+
+/// Throws std::logic_error naming `what`, `g` and the `registered` member
+/// list: the error of every group-key collision guard.
+[[noreturn]] void throw_group_key_collision(const std::vector<int>& registered,
+                                            const ProcessorGroup& g, const char* what);
+
+/// The group-key collision guard. Registries keyed on the 64-bit content
+/// key (the threaded barrier and loop-arena registries, the collective
+/// schedule cache) store the registering member list and call this on
+/// every lookup: two distinct groups whose keys collide would otherwise
+/// share a barrier, arena or schedule of the wrong shape and hang or
+/// mis-release. A real FNV-1a collision between small member lists cannot
+/// be forged, so tests call this directly.
+inline void check_group_key_match(const std::vector<int>& registered, const ProcessorGroup& g,
+                                  const char* what) {
+  if (registered != g.members()) throw_group_key_collision(registered, g, what);
+}
+
 }  // namespace fxpar::pgroup

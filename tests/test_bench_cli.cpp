@@ -27,6 +27,13 @@ void run_init(std::vector<std::string> args) {
   fxbench::init(static_cast<int>(argv.size()), argv.data());
 }
 
+// bench_exec's --sets parse: fxbench::int_flag over [1, 100000], default 8.
+long run_sets_flag(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return fxbench::int_flag(static_cast<int>(argv.size()), argv.data(), "--sets", 8, 1, 100000);
+}
+
 // Saves and restores the global bench options around a test that parses.
 struct OptionsGuard {
   fxbench::Options saved = fxbench::options();
@@ -364,6 +371,62 @@ TEST(BenchCliDeathTest, ParseDoubleFlagRejectsMalformed) {
   EXPECT_EXIT(
       { (void)fxbench::parse_double_flag("--duration", "1x2", 1e-9, 1e9); std::exit(0); },
       testing::ExitedWithCode(2), "--duration must be a number");
+}
+
+// bench_exec --sets used std::atoi: 0 or "abc" ended in std::terminate and
+// -2 in std::length_error. It now goes through the shared validator.
+TEST(BenchCliDeathTest, SetsZeroExitsTwo) {
+  EXPECT_EXIT({ (void)run_sets_flag({"bench_exec", "--sets", "0"}); std::exit(0); },
+              testing::ExitedWithCode(2),
+              "--sets must be an integer in \\[1, 100000\\], got '0'");
+}
+
+TEST(BenchCliDeathTest, SetsMalformedExitsTwo) {
+  EXPECT_EXIT({ (void)run_sets_flag({"bench_exec", "--sets", "abc"}); std::exit(0); },
+              testing::ExitedWithCode(2), "--sets must be an integer");
+}
+
+TEST(BenchCliDeathTest, SetsNegativeExitsTwo) {
+  EXPECT_EXIT({ (void)run_sets_flag({"bench_exec", "--sets", "-2"}); std::exit(0); },
+              testing::ExitedWithCode(2), "--sets must be an integer");
+}
+
+TEST(BenchCliDeathTest, TrailingSetsExitsTwo) {
+  EXPECT_EXIT({ (void)run_sets_flag({"bench_exec", "--sets"}); std::exit(0); },
+              testing::ExitedWithCode(2), "--sets requires an argument");
+}
+
+TEST(BenchCli, SetsFlagDefaultsAndParses) {
+  EXPECT_EQ(run_sets_flag({"bench_exec"}), 8);
+  EXPECT_EQ(run_sets_flag({"bench_exec", "--threads", "4", "--sets", "100000"}), 100000);
+}
+
+// bench_fig7_barneshut reports modeled time and its force phase is not safe
+// on the concurrent backends: any other --backend must exit 2, not print
+// simulated numbers under a threads/proc label.
+TEST(BenchCliDeathTest, SimOnlyBenchRejectsOtherBackends) {
+  EXPECT_EXIT(
+      {
+        run_init({"bench_fig7_barneshut", "--backend", "threads"});
+        fxbench::require_sim_backend("bench_fig7_barneshut", "modeled time");
+        std::exit(0);
+      },
+      testing::ExitedWithCode(2),
+      "bench_fig7_barneshut: only --backend sim is supported \\(modeled time\\), got 'threads'");
+  EXPECT_EXIT(
+      {
+        run_init({"bench_fig7_barneshut", "--backend", "proc"});
+        fxbench::require_sim_backend("bench_fig7_barneshut", "modeled time");
+        std::exit(0);
+      },
+      testing::ExitedWithCode(2), "got 'proc'");
+}
+
+TEST(BenchCli, SimOnlyBenchAcceptsSim) {
+  OptionsGuard guard;
+  run_init({"bench_fig7_barneshut", "--backend", "sim"});
+  fxbench::require_sim_backend("bench_fig7_barneshut", "modeled time");
+  SUCCEED();
 }
 
 TEST(BenchCli, ParsersAcceptInRangeValues) {

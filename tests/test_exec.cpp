@@ -1,25 +1,35 @@
 // Tests for the fxexec backend seam: threaded messaging and park/wake,
 // subset barriers under nested TASK_PARTITIONs (sibling subgroups must not
 // synchronize), counter parity with the simulator, abort propagation,
-// deadlock detection, and concurrent trace recording.
+// deadlock detection, concurrent trace recording, and the runtime core
+// shared by the threaded and process backends (matcher, quiescence rule,
+// deadlock text).
 //
 // The simulator's ucontext fibers are incompatible with ThreadSanitizer,
 // so sim-side tests self-skip under TSan; the threaded-backend tests are
-// exactly the ones a TSan build is for.
+// exactly the ones a TSan build is for. Fork-per-rank tests self-skip too.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fx.hpp"
 #include "core/parallel_loop.hpp"
 #include "dist/redistribute.hpp"
-#include "exec/threaded_backend.hpp"
+#include "exec/rank_core.hpp"
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
 #include "machine/report.hpp"
@@ -39,8 +49,11 @@
 #ifdef FXPAR_TSAN
 #define FXPAR_SKIP_SIM_UNDER_TSAN() \
   GTEST_SKIP() << "simulator fibers (ucontext) are incompatible with ThreadSanitizer"
+#define FXPAR_SKIP_PROC_UNDER_TSAN() \
+  GTEST_SKIP() << "fork-per-rank backend is incompatible with ThreadSanitizer"
 #else
 #define FXPAR_SKIP_SIM_UNDER_TSAN() (void)0
+#define FXPAR_SKIP_PROC_UNDER_TSAN() (void)0
 #endif
 
 namespace mx = fxpar::machine;
@@ -54,6 +67,12 @@ namespace {
 MachineConfig threaded(int p) {
   auto c = MachineConfig::paragon(p);
   c.backend = ex::BackendKind::Threads;
+  return c;
+}
+
+MachineConfig processes(int p) {
+  auto c = MachineConfig::paragon(p);
+  c.backend = ex::BackendKind::Proc;
   return c;
 }
 
@@ -333,6 +352,79 @@ TEST(ExecThreads, NoFalseDeadlockUnderParkRaces) {
   });
 }
 
+namespace {
+
+// Rank 0 waits for a message rank 1 never sends; returns the DeadlockError
+// text ("" when the run did not deadlock).
+std::string deadlock_message(const MachineConfig& cfg) {
+  mx::Machine m(cfg);
+  try {
+    m.run([](mx::Context& ctx) {
+      if (ctx.phys_rank() == 0) ctx.recv_phys(1, 3);
+    });
+  } catch (const fxpar::runtime::DeadlockError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+// Both concurrent backends build the DeadlockError text with one function
+// over the same per-rank state, so the same program reads identically.
+TEST(ExecThreads, DeadlockTextIdenticalOnThreadsAndProc) {
+  const std::string want = "deadlock: all processors blocked.\n  proc 0: recv\n  proc 1: finished";
+  EXPECT_EQ(deadlock_message(threaded(2)), want);
+  FXPAR_SKIP_PROC_UNDER_TSAN();
+  EXPECT_EQ(deadlock_message(processes(2)), want);
+}
+
+// The process backend's monitor must apply the same quiescence rule as the
+// threads: a barrier waiter whose episode was released while it was
+// descheduled still reads "parked", but its release is a pending wakeup,
+// not a deadlock. SIGSTOP makes that descheduling last 300 ms. Rank 1
+// parks at a 2-rank barrier and is stopped; rank 0 then releases the
+// barrier and parks in a receive from rank 1 — every rank parked, nothing
+// in transit, no progress — until SIGCONT lets rank 1 leave and send.
+TEST(ExecProc, StoppedBarrierWaiterIsNotADeadlock) {
+  FXPAR_SKIP_PROC_UNDER_TSAN();
+  // Mapped before run() so the forked rank 1 and the parent share it.
+  void* mem = ::mmap(nullptr, sizeof(std::atomic<pid_t>), PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  auto* pid_word = new (mem) std::atomic<pid_t>(0);
+  struct Cleanup {
+    std::thread resumer;
+    void* mem;
+    ~Cleanup() {
+      if (resumer.joinable()) resumer.join();
+      ::munmap(mem, sizeof(std::atomic<pid_t>));
+    }
+  } cleanup{{}, mem};
+
+  mx::Machine m(processes(2));
+  mx::Payload got;
+  EXPECT_NO_THROW(m.run([&](mx::Context& ctx) {
+    if (ctx.phys_rank() == 1) {
+      pid_word->store(::getpid());
+      ctx.barrier();
+      ctx.send_phys(0, 9, stamp(1, 0, 32));
+      return;
+    }
+    pid_t pid = 0;
+    while ((pid = pid_word->load()) == 0) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // rank 1 parks
+    ::kill(pid, SIGSTOP);
+    cleanup.resumer = std::thread([pid] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      ::kill(pid, SIGCONT);
+    });
+    ctx.barrier();  // the last arrival: releases the episode rank 1 is stopped in
+    got = ctx.recv_phys(1, 9);
+  }));
+  EXPECT_EQ(got, stamp(1, 0, 32));
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent trace recording
 // ---------------------------------------------------------------------------
@@ -405,6 +497,7 @@ struct IrregularRun {
   mx::RunResult res;
   std::vector<double> out;  ///< per-iteration results (shared, disjoint writes)
   std::vector<int> who;     ///< physical rank that executed each iteration
+  std::vector<int> who_reduce;  ///< the same for the parallel_reduce loop
   double reduced = 0.0;     ///< do&merge result (identical on every member)
 };
 
@@ -418,8 +511,10 @@ IrregularRun run_irregular_loop(const MachineConfig& cfg, std::int64_t n = kIrrN
   IrregularRun r;
   r.out.assign(static_cast<std::size_t>(n), 0.0);
   r.who.assign(static_cast<std::size_t>(n), -1);
+  r.who_reduce.assign(static_cast<std::size_t>(n), -1);
   double* out = r.out.data();
   int* who = r.who.data();
+  int* who_reduce = r.who_reduce.data();
   double* reduced = &r.reduced;
   r.res = m.run([&, n](mx::Context& ctx) {
     core::parallel_for(ctx, 0, n, [&ctx, out, who, n](std::int64_t i) {
@@ -430,7 +525,11 @@ IrregularRun run_irregular_loop(const MachineConfig& cfg, std::int64_t n = kIrrN
     // Floating-point sum whose value depends on combine order: bitwise
     // equality across schedules proves the merge order is preserved.
     const double sum = core::parallel_reduce<double>(
-        ctx, 0, n, [](std::int64_t i) { return 1.0 / static_cast<double>(i + 1); },
+        ctx, 0, n,
+        [&ctx, who_reduce](std::int64_t i) {
+          who_reduce[i] = ctx.machine().backend().current_rank();
+          return 1.0 / static_cast<double>(i + 1);
+        },
         std::plus<double>{}, 0.0);
     if (ctx.phys_rank() == 0) *reduced = sum;
   });
@@ -445,6 +544,17 @@ std::vector<int> static_owner(int procs, std::int64_t n = kIrrN) {
     for (std::int64_t i = f; i < l; ++i) own[static_cast<std::size_t>(i)] = v;
   }
   return own;
+}
+
+// Iterations of both loops that ran off their static owner: exactly the
+// stolen ones. The reduce counts too — a member that enters it late has
+// its chunks stolen like any other.
+std::uint64_t moved_iters(const IrregularRun& r, const std::vector<int>& own) {
+  std::uint64_t moved = 0;
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    moved += (r.who[i] != own[i] ? 1 : 0) + (r.who_reduce[i] != own[i] ? 1 : 0);
+  }
+  return moved;
 }
 
 }  // namespace
@@ -467,11 +577,7 @@ TEST(ExecStealing, IrregularLoopStealsAndStaysBitIdentical) {
   // Every iteration that ran off its static owner is a stolen one; the
   // executor map must account for exactly the stolen iterations.
   const auto own = static_owner(P);
-  std::uint64_t moved = 0;
-  for (std::size_t i = 0; i < own.size(); ++i) {
-    if (steal.who[i] != own[i]) ++moved;
-  }
-  EXPECT_EQ(moved, steal.res.stolen_iters);
+  EXPECT_EQ(moved_iters(steal, own), steal.res.stolen_iters);
 
   // With the toggle off the schedule is purely static.
   EXPECT_EQ(nosteal.res.steals, 0u);
@@ -522,12 +628,10 @@ TEST(ExecStealing, UnevenBlockLengthTerminatesAndStaysBitIdentical) {
   // exactly the stolen iterations, and results match the static schedule
   // bit for bit.
   const auto own = static_owner(P, kOdd);
-  std::uint64_t moved = 0;
   for (std::size_t i = 0; i < own.size(); ++i) {
     ASSERT_NE(steal.who[i], -1) << "iteration " << i << " never ran";
-    if (steal.who[i] != own[i]) ++moved;
   }
-  EXPECT_EQ(moved, steal.res.stolen_iters);
+  EXPECT_EQ(moved_iters(steal, own), steal.res.stolen_iters);
   EXPECT_EQ(nosteal.res.steals, 0u);
   EXPECT_EQ(steal.out, nosteal.out);
   EXPECT_EQ(steal.reduced, nosteal.reduced);
@@ -648,10 +752,10 @@ TEST(ExecThreads, UncontendedIoChargesNoWait) {
 // is exercised directly.
 TEST(ExecBarriers, GroupKeyCollisionFailsLoudly) {
   const fxpar::pgroup::ProcessorGroup g({0, 1, 2, 3});
-  EXPECT_NO_THROW(ex::ThreadedBackend::check_group_key_match(g.members(), g, "barrier"));
-  EXPECT_THROW(ex::ThreadedBackend::check_group_key_match({0, 1}, g, "barrier"),
+  EXPECT_NO_THROW(fxpar::pgroup::check_group_key_match(g.members(), g, "barrier"));
+  EXPECT_THROW(fxpar::pgroup::check_group_key_match({0, 1}, g, "barrier"),
                std::logic_error);
-  EXPECT_THROW(ex::ThreadedBackend::check_group_key_match({0, 1, 2, 5}, g, "run_chunks"),
+  EXPECT_THROW(fxpar::pgroup::check_group_key_match({0, 1, 2, 5}, g, "run_chunks"),
                std::logic_error);
 }
 
@@ -667,4 +771,88 @@ TEST(ExecSeam, SimAccessorThrowsOnThreadedBackend) {
 TEST(ExecSeam, BackendKindNames) {
   EXPECT_STREQ(ex::backend_kind_name(ex::BackendKind::Sim), "sim");
   EXPECT_STREQ(ex::backend_kind_name(ex::BackendKind::Threads), "threads");
+  EXPECT_STREQ(ex::backend_kind_name(ex::BackendKind::Proc), "proc");
+}
+
+// ---------------------------------------------------------------------------
+// The shared runtime core (exec/rank_core.hpp)
+// ---------------------------------------------------------------------------
+
+// Messages interleaved across sources and tags come out per-(src, tag)
+// FIFO, whatever order the receiver asks for the keys in.
+TEST(ExecSeam, MailStoreKeepsPerKeyFifoUnderInterleaving) {
+  ex::MailStore<int> box;
+  const int srcs = 3, tags = 2, per_key = 5;
+  for (int k = 0; k < per_key; ++k) {
+    for (int s = 0; s < srcs; ++s) {
+      for (int t = 0; t < tags; ++t) {
+        box.push(ex::MailKey{s, std::uint64_t(t)}, 100 * s + 10 * t + k);
+      }
+    }
+  }
+  EXPECT_EQ(box.size(), std::size_t(srcs * tags * per_key));
+  EXPECT_FALSE(box.pop(ex::MailKey{srcs, 0}).has_value());
+  for (int t = tags - 1; t >= 0; --t) {
+    for (int k = 0; k < per_key; ++k) {
+      for (int s = srcs - 1; s >= 0; --s) {
+        const auto m = box.pop(ex::MailKey{s, std::uint64_t(t)});
+        ASSERT_TRUE(m.has_value());
+        EXPECT_EQ(*m, 100 * s + 10 * t + k) << "src " << s << " tag " << t;
+      }
+    }
+    EXPECT_FALSE(box.pop(ex::MailKey{0, std::uint64_t(t)}).has_value());
+  }
+  EXPECT_EQ(box.size(), 0u);
+}
+
+// The single deadlock rule over synthetic per-rank state. Token 1 names a
+// barrier whose released-episode count the test controls.
+TEST(ExecSeam, QuiescenceRuleVerdicts) {
+  constexpr int P = 3;
+  auto ranks = std::make_unique<ex::RankLive[]>(P);
+  const std::span<const ex::RankLive> view(ranks.get(), P);
+  const std::uint64_t snapshot = 7;
+  std::uint64_t progress = snapshot;
+  bool in_transit = false;
+  std::uint64_t released = 0;
+  const auto deadlocked = [&] {
+    return ex::quiescent(
+        view, snapshot, [&] { return progress; }, [&](int) { return in_transit; },
+        [&](std::uint64_t token, std::uint64_t episode) {
+          return token == 1 && released >= episode;
+        });
+  };
+  // Ranks 0 and 1 parked in recv, rank 2 at barrier episode 1.
+  for (int r = 0; r < P; ++r) {
+    ranks[r].parked.store(1);
+    ranks[r].reason.store(r == 2 ? ex::BlockReason::Barrier : ex::BlockReason::Recv);
+  }
+  ranks[2].await_episode.store(1);
+  ranks[2].await_token.store(1);
+  EXPECT_TRUE(deadlocked());
+
+  released = 1;  // released, but the (descheduled) waiter has not left yet
+  EXPECT_FALSE(deadlocked());
+  released = 0;
+
+  in_transit = true;  // a frame on its way wakes its receiver
+  EXPECT_FALSE(deadlocked());
+  in_transit = false;
+
+  progress = snapshot + 1;  // something moved since the snapshot
+  EXPECT_FALSE(deadlocked());
+  progress = snapshot;
+
+  ranks[1].parked.store(0);  // a running rank can still unblock the others
+  EXPECT_FALSE(deadlocked());
+  ranks[1].parked.store(1);
+
+  ranks[0].done.store(1);  // finished ranks never wake anyone
+  EXPECT_TRUE(deadlocked());
+  EXPECT_EQ(ex::deadlock_text(view),
+            "deadlock: all processors blocked.\n  proc 0: finished\n  proc 1: recv\n"
+            "  proc 2: barrier");
+
+  for (int r = 0; r < P; ++r) ranks[r].done.store(1);  // normal completion
+  EXPECT_FALSE(deadlocked());
 }

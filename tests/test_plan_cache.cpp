@@ -281,10 +281,10 @@ TEST(CollectivePlan, CacheHitsShareTheSchedule) {
 TEST(CollectivePlan, GroupKeyCollisionGuardThrows) {
   const pg::ProcessorGroup g({0, 1, 2});
   // Matching member list passes.
-  EXPECT_NO_THROW(cp::CollectiveCache::check_members({0, 1, 2}, g, "tree"));
+  EXPECT_NO_THROW(pg::check_group_key_match({0, 1, 2}, g, "tree"));
   // A different list under the same key must be rejected, not replayed.
-  EXPECT_THROW(cp::CollectiveCache::check_members({0, 1, 3}, g, "tree"), std::logic_error);
-  EXPECT_THROW(cp::CollectiveCache::check_members({0, 1}, g, "tree"), std::logic_error);
+  EXPECT_THROW(pg::check_group_key_match({0, 1, 3}, g, "tree"), std::logic_error);
+  EXPECT_THROW(pg::check_group_key_match({0, 1}, g, "tree"), std::logic_error);
 }
 
 TEST(CollectivePlan, EvictionKeepsOutstandingSchedulesAlive) {

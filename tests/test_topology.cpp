@@ -151,6 +151,26 @@ TEST(Topology, PoolSpillCounterCountsShardOverflow) {
   });
   EXPECT_GE(m.pool_spill_count(), 8u);
   EXPECT_EQ(res.pool_spills, m.pool_spill_count());
+
+  // The double-vector scratch pool runs through the same shard-then-spill
+  // pool and the same spill counter; spilled vectors come back from the
+  // shared list once the shard is drained (a reused allocation keeps its
+  // larger capacity when a smaller vector is asked for).
+  const std::uint64_t before = m.pool_spill_count();
+  std::size_t reused = 0;
+  const auto dres = m.run([&](mx::Context& ctx) {
+    std::vector<std::vector<double>> held;
+    for (int i = 0; i < 24; ++i) held.push_back(ctx.machine().double_acquire(64));
+    for (auto& v : held) ctx.machine().double_release(std::move(v));
+    held.clear();
+    for (int i = 0; i < 24; ++i) {
+      held.push_back(ctx.machine().double_acquire(8));
+      reused += held.back().capacity() == 64 ? 1 : 0;
+    }
+  });
+  EXPECT_EQ(m.pool_spill_count() - before, 8u);
+  EXPECT_EQ(dres.pool_spills, m.pool_spill_count());
+  EXPECT_EQ(reused, 24u);
 }
 
 TEST(Topology, ThreadedBackendPinningSmoke) {
