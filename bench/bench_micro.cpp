@@ -125,6 +125,29 @@ void BM_FftKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_FftKernel)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The cffts stage's column block (256 rows x 64 local columns): range(0) = 0
+// transforms it one strided column at a time, 1 in one fft_columns call.
+void BM_FftColumns(benchmark::State& state) {
+  const bool batched = state.range(0) != 0;
+  constexpr std::size_t kRows = 256, kCols = 64;
+  std::vector<ap::Complex> data(kRows * kCols);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = ap::Complex(static_cast<double>(i % 17), static_cast<double>(i % 5));
+  }
+  for (auto _ : state) {
+    auto copy = data;
+    if (batched) {
+      ap::fft_columns(copy, kRows, kCols);
+    } else {
+      for (std::size_t c = 0; c < kCols; ++c) ap::fft_strided(copy, c, kCols, kRows);
+    }
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kRows * kCols));
+}
+BENCHMARK(BM_FftColumns)->ArgName("batched")->Arg(0)->Arg(1);
+
 // Repeated same-layout redistribution inside one machine run: the case the
 // plan cache targets. range(1) toggles MachineConfig::plan_cache.
 void BM_AssignStream(benchmark::State& state) {

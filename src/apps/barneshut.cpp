@@ -1,7 +1,9 @@
 #include "apps/barneshut.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <mutex>
 
 namespace fxpar::apps {
 
@@ -201,7 +203,9 @@ std::vector<std::int64_t> compute_force_rec(Context& ctx, const BhTree& tree, st
   combined.insert(combined.end(), wl2.begin(), wl2.end());
   if (wl_stats && g.virtual_of(ctx.phys_rank()) == 0 &&
       level < static_cast<int>(wl_stats->size())) {
-    (*wl_stats)[static_cast<std::size_t>(level)] += static_cast<std::int64_t>(combined.size());
+    // Leaders of sibling groups at the same level may add concurrently.
+    std::atomic_ref<std::int64_t>((*wl_stats)[static_cast<std::size_t>(level)])
+        .fetch_add(static_cast<std::int64_t>(combined.size()), std::memory_order_relaxed);
   }
 
   const int me = g.virtual_of(ctx.phys_rank());
@@ -292,13 +296,15 @@ BhSimResult run_barneshut_steps(const machine::MachineConfig& mcfg, const BhConf
                     ? cfg.k_repl
                     : static_cast<int>(std::ceil(std::log2(std::max(mcfg.num_procs, 2)))) + 1;
 
-  // Host-side state shared by every simulated processor. The simulation is
-  // single-threaded and the per-step barrier orders all accesses: the first
-  // processor past the barrier advances the dynamics and rebuilds the tree;
-  // everyone charges its share of the modeled (parallel) build cost.
+  // Host-side state shared by every processor. The first processor past the
+  // per-step barrier advances the dynamics and rebuilds the tree under
+  // `rebuild_mu`; the others wait on the lock and find the step built, so the
+  // tree is never replaced while anyone reads it. Everyone charges its share
+  // of the modeled (parallel) build cost.
   std::vector<BhParticle> parts = bh_particles(cfg);
   std::unique_ptr<BhTree> tree;
   int built_step = -1;
+  std::mutex rebuild_mu;
   std::vector<std::array<double, 3>> forces(static_cast<std::size_t>(n), {0, 0, 0});
   std::vector<std::int64_t> wl_stats(32, 0);
 
@@ -306,6 +312,7 @@ BhSimResult run_barneshut_steps(const machine::MachineConfig& mcfg, const BhConf
   res.machine_result = machine.run([&](machine::Context& ctx) {
     const double levels = std::log2(static_cast<double>(std::max<std::int64_t>(n, 2)));
     for (int s = 0; s < steps; ++s) {
+      std::unique_lock lock(rebuild_mu);
       if (built_step < s) {
         // First processor past the step barrier: bank the previous step's
         // worklist counts, advance the dynamics, rebuild the tree.
@@ -320,6 +327,7 @@ BhSimResult run_barneshut_steps(const machine::MachineConfig& mcfg, const BhConf
         parts = tree->particles();  // tree-sorted order for the next update
         built_step = s;
       }
+      lock.unlock();
       ctx.charge_int_ops((kBuildOpsPerElem * static_cast<double>(n) * levels + 6.0 * n) /
                          static_cast<double>(ctx.nprocs()));
       auto wl = compute_force_rec(ctx, *tree, 0, n, k, cfg, forces, 0, &wl_stats);

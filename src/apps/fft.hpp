@@ -16,14 +16,23 @@ namespace fxpar::apps {
 
 using Complex = std::complex<double>;
 
-/// In-place iterative radix-2 complex FFT. `data.size()` must be a power of
-/// two. `inverse` applies the conjugate transform including the 1/n scale.
+/// In-place radix-2 complex FFTs down the columns of a row-major block:
+/// `rows`-point transforms of each of the `cols` interleaved columns of
+/// data[0, rows * cols). `rows` must be a power of two. `inverse` applies the
+/// conjugate transform including the 1/rows scale. Each column undergoes
+/// exactly the operations of a lone 1-D transform, so the result is
+/// bit-identical to transforming the columns one at a time.
+void fft_columns(std::span<Complex> data, std::size_t rows, std::size_t cols,
+                 bool inverse = false);
+
+/// In-place 1-D FFT: fft_columns(data, data.size(), 1, inverse).
 void fft_inplace(std::span<Complex> data, bool inverse = false);
 
 /// Reference O(n^2) DFT for testing.
 std::vector<Complex> naive_dft(std::span<const Complex> data, bool inverse = false);
 
-/// Strided in-place FFT over data[offset + k*stride], k in [0, n).
+/// Strided in-place FFT over data[offset + k*stride], k in [0, n), run
+/// through the same kernel on a gathered copy of the column.
 void fft_strided(std::span<Complex> data, std::size_t offset, std::size_t stride,
                  std::size_t n, bool inverse = false);
 

@@ -83,11 +83,7 @@ std::vector<PipelineStage<Complex>> ffthist_stages(
     const std::int64_t cols = ext[1];
     out.fill([&](std::span<const std::int64_t> g) { return ffthist_input(k, g[0], g[1]); });
     ctx.charge_flops(kGenFlopsPerElem * static_cast<double>(n) * static_cast<double>(cols));
-    auto local = out.local();
-    for (std::int64_t c = 0; c < cols; ++c) {
-      fft_strided(local, static_cast<std::size_t>(c), static_cast<std::size_t>(cols),
-                  static_cast<std::size_t>(n));
-    }
+    fft_columns(out.local(), static_cast<std::size_t>(n), static_cast<std::size_t>(cols));
     ctx.charge_flops(static_cast<double>(cols) * fft_flops(n));
   };
 

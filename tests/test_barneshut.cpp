@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "apps/barneshut.hpp"
+#include "exec/backend.hpp"
 
 namespace ap = fxpar::apps;
 using fxpar::MachineConfig;
@@ -218,6 +219,27 @@ TEST(BarnesHutSteps, MatchesSequentialDynamics) {
     }
   }
   EXPECT_EQ(static_cast<int>(res.worklist_total_per_step.size()), 3);
+}
+
+// On threads every rank reaches the per-step tree rebuild concurrently; it
+// must run once per step, before any rank reads the tree.
+TEST(BarnesHutSteps, ThreadsMatchSimAndSequential) {
+  ap::BhConfig cfg;
+  cfg.n = 1024;
+  const auto ref = ap::barneshut_steps_reference(cfg, 3, 0.01);
+  const auto sim = ap::run_barneshut_steps(paragon(4), cfg, 3, 0.01);
+  auto tcfg = paragon(4);
+  tcfg.backend = fxpar::exec::BackendKind::Threads;
+  const auto thr = ap::run_barneshut_steps(tcfg, cfg, 3, 0.01);
+  ASSERT_EQ(thr.particles.size(), ref.size());
+  ASSERT_EQ(sim.particles.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_EQ(thr.particles[i].pos[d], ref[i].pos[d]) << "particle " << i;
+      EXPECT_EQ(sim.particles[i].pos[d], ref[i].pos[d]) << "particle " << i;
+    }
+  }
+  EXPECT_EQ(thr.worklist_total_per_step, sim.worklist_total_per_step);
 }
 
 TEST(BarnesHutSteps, ParticlesActuallyMove) {

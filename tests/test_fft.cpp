@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
 #include <random>
+#include <thread>
 
 #include "apps/fft.hpp"
 
@@ -17,6 +20,11 @@ std::vector<Complex> random_signal(std::size_t n, unsigned seed) {
   std::vector<Complex> v(n);
   for (auto& z : v) z = Complex(d(rng), d(rng));
   return v;
+}
+
+bool bit_equal(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
 }
 
 double max_abs_diff(const std::vector<Complex>& a, const std::vector<Complex>& b) {
@@ -76,7 +84,8 @@ TEST_P(FftVsDft, InverseRoundTrips) {
   EXPECT_LT(max_abs_diff(v, sig), 1e-10);
 }
 
-INSTANTIATE_TEST_SUITE_P(Pow2Sizes, FftVsDft, ::testing::Values(1, 2, 4, 8, 32, 128, 256));
+INSTANTIATE_TEST_SUITE_P(Pow2Sizes, FftVsDft,
+                         ::testing::Values(1, 2, 4, 8, 32, 128, 256, 1024));
 
 TEST(Fft, NonPow2Rejected) {
   std::vector<Complex> v(12);
@@ -98,6 +107,71 @@ TEST(Fft, StridedMatchesContiguous) {
     ap::fft_strided(mat, c, kCols, kRows);
   }
   EXPECT_LT(max_abs_diff(mat, expect), 1e-12);
+}
+
+class FftColumns
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, bool>> {};
+
+// The batched kernel gives each column exactly the operations of a lone 1-D
+// transform, so it must agree with the per-column paths bit for bit.
+TEST_P(FftColumns, BitIdenticalToPerColumnTransforms) {
+  const auto [rows, cols, inverse] = GetParam();
+  const auto mat = random_signal(rows * cols, 5);
+  auto batched = mat;
+  ap::fft_columns(batched, rows, cols, inverse);
+  auto strided = mat;
+  for (std::size_t c = 0; c < cols; ++c) ap::fft_strided(strided, c, cols, rows, inverse);
+  EXPECT_TRUE(bit_equal(batched, strided));
+  for (std::size_t c = 0; c < cols; ++c) {
+    std::vector<Complex> col(rows), got(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      col[r] = mat[r * cols + c];
+      got[r] = batched[r * cols + c];
+    }
+    ap::fft_inplace(col, inverse);
+    EXPECT_TRUE(bit_equal(col, got)) << "column " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, FftColumns,
+                         ::testing::Combine(::testing::Values(1, 2, 8, 256),
+                                            ::testing::Values(1, 3, 64), ::testing::Bool()));
+
+TEST(Fft, ColumnsRejectBadShapes) {
+  std::vector<Complex> v(48);
+  EXPECT_THROW(ap::fft_columns(v, 12, 4), std::invalid_argument);
+  EXPECT_THROW(ap::fft_columns(v, 16, 4), std::out_of_range);
+  EXPECT_NO_THROW(ap::fft_columns(v, 16, 3));
+}
+
+// Plans for new sizes are built and published by whichever thread gets
+// there first; every thread must see a complete plan and the same result.
+TEST(Fft, ConcurrentFirstUseMatchesSingleThreaded) {
+  constexpr std::size_t kRows[] = {512, 2048, 4096, 8192};
+  constexpr std::size_t kCols = 4;
+  std::vector<std::vector<Complex>> got(4), want(4);
+  std::vector<std::thread> threads;
+  std::latch start(4);
+  for (std::size_t t = 0; t < 4; ++t) {
+    got[t] = random_signal(kRows[t] * kCols, 100 + static_cast<unsigned>(t));
+    want[t] = got[t];
+  }
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Every thread walks all four sizes, so each plan has racing builders.
+      for (std::size_t s = 0; s < 4; ++s) {
+        auto scratch = random_signal(kRows[s], 7);
+        ap::fft_inplace(scratch);
+      }
+      ap::fft_columns(got[t], kRows[t], kCols);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    ap::fft_columns(want[t], kRows[t], kCols);
+    EXPECT_TRUE(bit_equal(got[t], want[t])) << "rows " << kRows[t];
+  }
 }
 
 TEST(Fft, StridedBoundsChecked) {

@@ -445,7 +445,7 @@ namespace {
 
 struct ParityRun {
   mx::RunResult res;
-  std::vector<std::int64_t> sums;  // per physical rank: checksum of owned dst
+  std::vector<std::uint64_t> sums;  // per physical rank: checksum of owned dst
 };
 
 ParityRun run_parity(bool cache_on, int a_kind, int b_kind, bool swap_dims,
@@ -474,7 +474,7 @@ ParityRun run_parity(bool cache_on, int a_kind, int b_kind, bool swap_dims,
     a.fill([](std::span<const std::int64_t> gi) { return gi[0] * 1000 + gi[1]; });
     b.fill_value(-7);
     ds::assign_general(ctx, b, a, perm, offsets);
-    std::int64_t sum = 0;
+    std::uint64_t sum = 0;  // unsigned: the checksum wraps by design
     b.for_each_owned([&](std::span<const std::int64_t> gi, std::int64_t& v) {
       std::int64_t expected = -7;
       bool inside = true;
@@ -488,7 +488,7 @@ ParityRun run_parity(bool cache_on, int a_kind, int b_kind, bool swap_dims,
       }
       if (inside) expected = s[0] * 1000 + s[1];
       EXPECT_EQ(v, expected) << "at (" << gi[0] << "," << gi[1] << ") cache=" << cache_on;
-      sum = sum * 31 + v;
+      sum = sum * 31 + static_cast<std::uint64_t>(v);
     });
     out.sums[static_cast<std::size_t>(ctx.phys_rank())] = sum;
   });
