@@ -322,6 +322,18 @@ inline std::ostream* json_stream() {
   return &file;
 }
 
+/// Opens a record: `{"name":...,"params":{...}` — the params object is
+/// left open for the caller to close with `}`.
+inline void write_json_head(std::ostream& out, const std::string& name,
+                            const std::vector<std::pair<std::string, std::string>>& params) {
+  out << "{\"name\":\"" << json_escape(name) << "\",\"params\":{";
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (i) out << ',';
+    out << '"' << json_escape(params[i].first) << "\":\"" << json_escape(params[i].second)
+        << '"';
+  }
+}
+
 /// Writes `v` with `fmt`, or `null` when it is inf/nan: "%.9g" would emit a
 /// bare `inf`/`nan` token, making the whole record unparseable JSON (the
 /// perf-smoke CI reads these lines with a strict parser).
@@ -397,12 +409,7 @@ inline void json_record(const std::string& name,
                         const std::string& transport = std::string()) {
   std::ostream* out = detail::json_stream();
   if (!out) return;
-  *out << "{\"name\":\"" << detail::json_escape(name) << "\",\"params\":{";
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (i) *out << ',';
-    *out << '"' << detail::json_escape(params[i].first) << "\":\""
-         << detail::json_escape(params[i].second) << '"';
-  }
+  detail::write_json_head(*out, name, params);
   *out << "},\"time_s\":";
   detail::write_json_number(*out, time_s, "%.9g");
   *out << ",\"efficiency\":";
@@ -467,6 +474,28 @@ inline void json_record(const std::string& name,
               threaded ? static_cast<std::int64_t>(res.stolen_iters) : -1,
               threaded ? res.pinning : std::string(), res.numa_nodes,
               proc ? options().transport : std::string());
+}
+
+/// Record of a latency distribution measured outside any one Machine::run
+/// (e.g. bench_exec --run-overhead): `quantiles` become numeric fields of
+/// the record, such as {"p50_ms", 0.8}.
+inline void json_quantiles_record(
+    const std::string& name, const std::vector<std::pair<std::string, std::string>>& params,
+    const std::string& backend, const std::string& transport,
+    const std::vector<std::pair<std::string, double>>& quantiles) {
+  std::ostream* out = detail::json_stream();
+  if (!out) return;
+  detail::write_json_head(*out, name, params);
+  *out << "},\"backend\":\"" << detail::json_escape(backend) << '"';
+  if (!transport.empty()) {
+    *out << ",\"transport\":\"" << detail::json_escape(transport) << '"';
+  }
+  for (const auto& [key, v] : quantiles) {
+    *out << ",\"" << detail::json_escape(key) << "\":";
+    detail::write_json_number(*out, v, "%.6g");
+  }
+  *out << "}\n";
+  out->flush();
 }
 
 /// Reports on a traced run according to the CLI options: prints the phase

@@ -9,15 +9,21 @@
 //   bench_exec [--threads N] [--sets K (1..100000)] [--pinning POLICY]
 //              [--work-stealing on|off] [--metrics on|off] [--json-out FILE|-]
 //              [--flight-compare] [--obs-port N] [--flight-recorder on|off]
-//              [--backend proc --transport shm|tcp]
+//              [--backend proc --transport shm|tcp] [--run-overhead]
 //
 // --backend proc adds a third leg: the same stream pipeline on the
 // process-per-rank backend over the chosen transport, parity-checked
 // against the simulator and recorded as exec/stream/proc (no gate).
 //
+// --run-overhead measures only the fixed cost of one Machine::run instead:
+// 200 empty runs, each one barrier over 4 ranks, on one Machine per leg —
+// threads, proc-tcp, proc-shm — and records each leg's p50 and p90 as
+// exec/overhead/<leg>. The process-backend CI job gates the shm/tcp ratio.
+//
 // --flight-compare additionally A/Bs the threaded stream run with the
 // flight recorder off vs on and records the host-time ratio; the obs-smoke
 // CI gates it at <= 5% overhead.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -131,6 +137,62 @@ ImbalanceRun run_imbalanced(exec::BackendKind kind, int procs, bool stealing) {
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Empty-run overhead: what a run costs before any user work — thread spawn
+// and join on threads; fork, transport reset, join and reap on proc.
+
+constexpr int kOverheadProcs = 4;
+constexpr int kOverheadRuns = 200;
+
+/// Host milliseconds of each of kOverheadRuns one-barrier runs on one
+/// Machine, sorted.
+std::vector<double> empty_run_ms(exec::BackendKind kind, exec::TransportKind transport) {
+  auto cfg = fxbench::apply_tuning(MachineConfig::paragon(kOverheadProcs));
+  cfg.backend = kind;
+  cfg.transport = transport;
+  machine::Machine m(cfg);
+  std::vector<double> ms;
+  ms.reserve(kOverheadRuns);
+  for (int i = 0; i < kOverheadRuns; ++i) {
+    const fxbench::HostTimer timer;
+    m.run([](machine::Context& ctx) { ctx.barrier(); });
+    ms.push_back(timer.ms());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms;
+}
+
+int run_overhead() {
+  struct Leg {
+    const char* name;
+    exec::BackendKind kind;
+    exec::TransportKind transport;
+  };
+  const Leg legs[] = {{"threads", exec::BackendKind::Threads, exec::TransportKind::Shm},
+                      {"proc-tcp", exec::BackendKind::Proc, exec::TransportKind::Tcp},
+                      {"proc-shm", exec::BackendKind::Proc, exec::TransportKind::Shm}};
+  std::printf("empty-run overhead: %d runs of one barrier over %d ranks per leg\n",
+              kOverheadRuns, kOverheadProcs);
+  const std::vector<std::pair<std::string, std::string>> params = {
+      {"procs", std::to_string(kOverheadProcs)},
+      {"runs", std::to_string(kOverheadRuns)},
+      {"body", "barrier"}};
+  for (const Leg& leg : legs) {
+    const auto ms = empty_run_ms(leg.kind, leg.transport);
+    const auto at = [&ms](double q) {
+      return ms[static_cast<std::size_t>(q * static_cast<double>(ms.size() - 1))];
+    };
+    std::printf("  %-9s p50 %7.3f ms  p90 %7.3f ms\n", leg.name, at(0.5), at(0.9));
+    const bool proc = leg.kind == exec::BackendKind::Proc;
+    fxbench::json_quantiles_record(
+        std::string("exec/overhead/") + leg.name, params,
+        exec::backend_kind_name(leg.kind),
+        proc ? exec::transport_kind_name(leg.transport) : "",
+        {{"p50_ms", at(0.5)}, {"p90_ms", at(0.9)}});
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -140,6 +202,7 @@ int main(int argc, char** argv) {
   bool flight_compare = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--flight-compare") flight_compare = true;
+    if (std::string(argv[i]) == "--run-overhead") return run_overhead();
   }
 
   std::printf("exec backend comparison: stream pipeline, %d procs, %d sets, n=%lld, "

@@ -8,6 +8,7 @@
 
 #ifdef __linux__
 #include <linux/futex.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #endif
 
@@ -325,10 +326,7 @@ ProcBackend::ProcBackend(const machine::MachineConfig& config) : config_(config)
 }
 
 ProcBackend::~ProcBackend() {
-  if (monitor_.joinable()) {
-    monitor_stop_.store(true, std::memory_order_release);
-    monitor_.join();
-  }
+  if (monitor_.joinable()) stop_monitor();
   // Children are reaped by run(); a child process never destroys the
   // backend (it leaves through _Exit). Atomics are trivially destructible.
   if (ctrl_ != nullptr && !is_child_) ::munmap(ctrl_, ctrl_bytes_);
@@ -431,6 +429,17 @@ void ProcBackend::wake_all_barriers() {
 // ---------------------------------------------------------------------------
 // Messaging
 
+void ProcBackend::attach_channel(int rank) {
+  chan_ = transport_->attach(rank);
+  chan_->set_stop(&ctrl_->abort);
+  // A rank that reported done never drains again, so a send to it can only
+  // be dropped. Rank 0 is the exception: it keeps draining through the
+  // join, which is where children's residue and Done frames arrive.
+  chan_->set_peer_done([c = ctrl_](int dst) {
+    return dst != 0 && c->ranks[dst].done.load(std::memory_order_acquire) != 0;
+  });
+}
+
 void ProcBackend::drain_channel() {
   if (!chan_) return;
   std::vector<net::Frame> frames;
@@ -491,6 +500,11 @@ void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
     } catch (const net::ChannelStopped&) {
       ctrl_->in_transit.fetch_sub(1, std::memory_order_seq_cst);
       throw AbortError{};
+    } catch (const net::PeerFinished&) {
+      // The destination finished without receiving it: the frame can never
+      // be matched, so it is dropped. It still counts as a deposit, as on
+      // the threaded backend, whose mailbox simply keeps it.
+      ctrl_->in_transit.fetch_sub(1, std::memory_order_seq_cst);
     }
   }
   ctrl_->progress.fetch_add(1, std::memory_order_seq_cst);
@@ -659,25 +673,34 @@ void ProcBackend::run(const std::function<void(int)>& body) {
   t0_ = std::chrono::steady_clock::now();
   if (tracer_) tracer_->set_concurrent(p);
 
-  transport_ = config_.transport == TransportKind::Tcp
-                   ? std::unique_ptr<net::Transport>(std::make_unique<net::TcpTransport>(p))
-                   : std::unique_ptr<net::Transport>(std::make_unique<net::ShmTransport>(p));
-  chan_ = transport_->attach(0);
-  chan_->set_stop(&ctrl_->abort);
+  // No child is alive here (the previous run reaped them all), so the
+  // transport can be rewound instead of rebuilt.
+  if (!transport_) {
+    if (config_.transport == TransportKind::Tcp) {
+      transport_ = std::make_unique<net::TcpTransport>(p);
+    } else {
+      transport_ = std::make_unique<net::ShmTransport>(p);
+    }
+  } else {
+    transport_->reset();
+  }
+  attach_channel(0);
 
   // Flush stdio so forked children never replay buffered parent output.
   std::fflush(stdout);
   std::fflush(stderr);
+  const pid_t parent = ::getpid();
   for (int r = 1; r < p; ++r) {
     const pid_t pid = ::fork();
     if (pid < 0) {
       fail_shm(procdetail::kAbortError, "ProcBackend: fork failed");
       break;  // already-forked children observe the abort word and exit
     }
-    if (pid == 0) child_main(body, r);  // never returns
+    if (pid == 0) child_main(body, r, parent);  // never returns
     pids_[static_cast<std::size_t>(r)] = pid;
   }
-  monitor_stop_.store(false, std::memory_order_release);
+  // Started after the forks: the caller is the only thread alive at fork.
+  monitor_stop_ = false;
   monitor_ = std::thread([this] { monitor_loop(); });
 
   // The parent doubles as rank 0 on the calling thread.
@@ -706,14 +729,12 @@ void ProcBackend::run(const std::function<void(int)>& body) {
   t_prank = -1;
 
   wait_for_children();
-  monitor_stop_.store(true, std::memory_order_release);
-  monitor_.join();
+  stop_monitor();
   reap_children();
 
   if (ctrl_->abort.load(std::memory_order_acquire) == 0) absorb_residue();
   if (tracer_) tracer_->merge_concurrent();
   chan_.reset();
-  transport_.reset();
 
   const std::uint32_t aborted = ctrl_->abort.load(std::memory_order_acquire);
   if (aborted != 0) {
@@ -724,7 +745,18 @@ void ProcBackend::run(const std::function<void(int)>& body) {
   }
 }
 
-void ProcBackend::child_main(const std::function<void(int)>& body, int rank) {
+void ProcBackend::child_main(const std::function<void(int)>& body, int rank,
+                             pid_t parent) {
+#ifdef __linux__
+  // A rank never outlives its parent: should the parent die (killed, or a
+  // watchdog's alarm), the kernel kills this child too rather than leave it
+  // blocked on a transport nobody will drain. The getppid check covers a
+  // parent that died before the prctl.
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) std::_Exit(3);
+#else
+  (void)parent;
+#endif
   is_child_ = true;
   t_powner = this;
   t_prank = rank;
@@ -735,8 +767,7 @@ void ProcBackend::child_main(const std::function<void(int)>& body, int rank) {
   barrier_epoch_.clear();
 
   transport_->isolate(rank);
-  chan_ = transport_->attach(rank);
-  chan_->set_stop(&ctrl_->abort);
+  attach_channel(rank);
 
   // Fork-time baselines: copy-on-write hands this child the registry and
   // flight rings exactly as they stood at fork, so "what this rank did" is
@@ -861,10 +892,20 @@ void ProcBackend::wait_for_children() {
 }
 
 void ProcBackend::reap_children() {
+  // In a run that did not abort, every child that set done has also sent
+  // its Done frame (wait_for_children saw them all): it is on its way out
+  // through _Exit, so wait for it outright.
+  const bool clean = ctrl_->abort.load(std::memory_order_acquire) == 0;
   for (std::size_t r = 1; r < pids_.size(); ++r) {
     const pid_t pid = pids_[r];
     if (pid <= 0) continue;
     int st = 0;
+    if (clean && ctrl_->ranks[r].done.load(std::memory_order_acquire) != 0) {
+      while (::waitpid(pid, &st, 0) < 0 && errno == EINTR) {
+      }
+      pids_[r] = 0;
+      continue;
+    }
     bool reaped = false;
     // Children observing the abort word exit within milliseconds; give a
     // generous grace period, then SIGKILL whatever is stuck in user code.
@@ -901,9 +942,7 @@ void ProcBackend::monitor_loop() {
         });
   };
 
-  while (!monitor_stop_.load(std::memory_order_acquire)) {
-    sleep_s(2e-3);
-
+  while (!monitor_pause(2e-3)) {
     // Child death: a rank that exits before reporting done took its part of
     // the program with it — everyone else would block forever. WNOWAIT
     // keeps the zombie reapable by reap_children().
@@ -941,12 +980,26 @@ void ProcBackend::monitor_loop() {
     // re-check on a 5 ms period) with no progress in between.
     const std::uint64_t snap = progress();
     if (!quiescent(snap)) continue;
-    sleep_s(10e-3);
-    if (monitor_stop_.load(std::memory_order_acquire)) break;
+    if (monitor_pause(10e-3)) break;
     if (ctrl_->abort.load(std::memory_order_acquire) != 0) continue;
     if (!quiescent(snap)) continue;
     fail_shm(procdetail::kAbortDeadlock, deadlock_text(live()).c_str());
   }
+}
+
+void ProcBackend::stop_monitor() {
+  {
+    std::lock_guard<std::mutex> lk(monitor_mu_);
+    monitor_stop_ = true;
+  }
+  monitor_cv_.notify_all();
+  monitor_.join();
+}
+
+bool ProcBackend::monitor_pause(double seconds) {
+  std::unique_lock<std::mutex> lk(monitor_mu_);
+  return monitor_cv_.wait_for(lk, std::chrono::duration<double>(seconds),
+                              [this] { return monitor_stop_; });
 }
 
 // ---------------------------------------------------------------------------

@@ -36,15 +36,24 @@
 // control frames, Done last; the parent absorbs them post-join so
 // RunResult snapshots, traces and /trace dumps look the same as on the
 // threaded path.
+//
+// Run lifetime: the control block and the transport live as long as the
+// backend; a run resets both (Transport::reset() empties every ring or
+// stream) and forks fresh ranks over them. The join is event-driven: rank 0
+// wakes on Done frames, the monitor's sleeps end when run() stops it, and
+// children that reported done in a clean run are reaped with a blocking
+// waitpid.
 #pragma once
 
 #include <sys/types.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -109,6 +118,7 @@ class ProcBackend final : public Backend {
   void beat() { self_live().beat(now_s()); }
   void check_abort() const;  ///< throws AbortError when the abort word is up
   void reset_run_state();
+  void attach_channel(int rank);  ///< this process's endpoint of transport_
   void drain_channel();      ///< moves transport frames into matched_/ctrl_frames_
   /// First-failure protocol: claim the error slot, record `text`, freeze
   /// the per-rank introspection snapshot into the control block, then
@@ -116,7 +126,8 @@ class ProcBackend final : public Backend {
   /// when this caller was the first failer.
   bool fail_shm(std::uint32_t kind, const char* text);
   void wake_all_barriers();
-  void child_main(const std::function<void(int)>& body, int rank);  // never returns
+  /// A forked rank's whole life; never returns. `parent` is rank 0's pid.
+  void child_main(const std::function<void(int)>& body, int rank, pid_t parent);
   /// Ships a finishing child's variable-size residue to rank 0: the metric
   /// delta against the fork-time snapshot, its trace shard, and its flight
   /// events past the fork-time ring total.
@@ -126,6 +137,10 @@ class ProcBackend final : public Backend {
   void wait_for_children();
   void reap_children();
   void monitor_loop();
+  /// Sleeps up to `seconds` on the monitor's condition variable; returns
+  /// true once stop_monitor() has been called.
+  bool monitor_pause(double seconds);
+  void stop_monitor();  ///< wakes the monitor out of any pause and joins it
 
   machine::MachineConfig config_;
   trace::TraceRecorder* tracer_ = nullptr;
@@ -134,9 +149,10 @@ class ProcBackend final : public Backend {
   std::size_t ctrl_bytes_ = 0;
   std::chrono::steady_clock::time_point t0_;
 
-  // Per-run transport state. Every process holds its own endpoint: the
-  // parent attaches as rank 0 before forking, a child re-attaches as its
-  // own rank right after.
+  // The transport is built by the first run and reset by every later one.
+  // Every process holds its own endpoint, attached fresh each run: the
+  // parent attaches as rank 0 before forking, a child attaches as its own
+  // rank right after.
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<net::Channel> chan_;
   MailStore<PendingMsg> matched_;
@@ -146,7 +162,9 @@ class ProcBackend final : public Backend {
   // Parent-side bookkeeping.
   std::vector<pid_t> pids_;  ///< rank -> child pid (0 for rank 0 / reaped)
   std::thread monitor_;
-  std::atomic<bool> monitor_stop_{false};
+  std::mutex monitor_mu_;
+  std::condition_variable monitor_cv_;
+  bool monitor_stop_ = false;  ///< guarded by monitor_mu_
   bool is_child_ = false;
 };
 

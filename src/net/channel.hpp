@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -53,6 +54,13 @@ struct ChannelStopped : std::runtime_error {
   ChannelStopped() : std::runtime_error("fxnet: channel stopped") {}
 };
 
+/// Thrown out of send() when the destination has finished for good (see
+/// Channel::set_peer_done): the frame could never be received, so it is
+/// dropped — possibly after some of its pieces already went out.
+struct PeerFinished : std::runtime_error {
+  PeerFinished() : std::runtime_error("fxnet: destination finished") {}
+};
+
 /// One rank's endpoint. Single-threaded use per endpoint (each logical
 /// processor is one process/thread); distinct endpoints of one Transport
 /// are used concurrently by design.
@@ -68,8 +76,10 @@ class Channel {
 
   /// Sends one frame to `dst`. May block (ring full / socket buffer full)
   /// until the consumer drains; honors the stop flag (throws
-  /// ChannelStopped). `dst == rank()` is a caller error — self-sends are
-  /// matched locally by the backend and never reach a transport.
+  /// ChannelStopped) and the peer-done predicate (throws PeerFinished, at
+  /// entry or while blocked). `dst == rank()` is a caller error —
+  /// self-sends are matched locally by the backend and never reach a
+  /// transport.
   virtual void send(int dst, FrameKind kind, std::uint64_t tag, const std::byte* data,
                     std::size_t len) = 0;
 
@@ -90,16 +100,25 @@ class Channel {
   /// observes the same stop).
   void set_stop(const std::atomic<std::uint32_t>* stop) noexcept { stop_ = stop; }
 
+  /// Installs a predicate saying whether rank `dst` has finished and will
+  /// never drain its endpoint again. A send to such a rank gives up with
+  /// PeerFinished instead of waiting for buffer space nobody will free.
+  void set_peer_done(std::function<bool(int)> done) { peer_done_ = std::move(done); }
+
  protected:
   bool stopped() const noexcept {
     return stop_ != nullptr && stop_->load(std::memory_order_acquire) != 0;
   }
+  bool peer_done(int dst) const { return peer_done_ && peer_done_(dst); }
 
  private:
   const std::atomic<std::uint32_t>* stop_ = nullptr;
+  std::function<bool(int)> peer_done_;
 };
 
-/// Factory for one run's channels, created in the parent before fork.
+/// Factory for channels, created in the parent before the first fork and
+/// kept for the backend's lifetime: every run forks fresh ranks over the
+/// same rings or socket mesh, after reset() has emptied them.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -115,6 +134,13 @@ class Transport {
   /// closes the socket ends it inherited but does not own). No-op where
   /// resources are naturally shared (shm).
   virtual void isolate(int /*rank*/) {}
+
+  /// Returns the transport to its just-constructed state: no byte of any
+  /// earlier frame, whole or partial, can reach a channel attached after
+  /// this. Only legal while no endpoint is in use (the proc backend calls
+  /// it at run start, when no child is alive); channels attached before
+  /// must be discarded, since their reassembly state is stale.
+  virtual void reset() = 0;
 };
 
 }  // namespace fxpar::net

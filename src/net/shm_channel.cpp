@@ -120,7 +120,8 @@ ShmTransport::ShmTransport(int num_ranks, std::size_t ring_bytes)
   if (base == MAP_FAILED) {
     throw std::system_error(errno, std::generic_category(), "ShmTransport: mmap");
   }
-  std::memset(base, 0, map_bytes_);
+  // A new shm object or anonymous mapping reads as zeros, so the rings are
+  // not cleared here: their pages fault in on first use, not all up front.
   for (int r = 0; r < num_ranks_; ++r) {
     new (ShmRegion::hdr(base, num_ranks_, ring_bytes_, r)) RingHdr();
   }
@@ -138,6 +139,15 @@ std::unique_ptr<Channel> ShmTransport::attach(int rank) {
   return std::make_unique<ShmChannel>(this, rank);
 }
 
+void ShmTransport::reset() {
+  for (int r = 0; r < num_ranks_; ++r) {
+    RingHdr* h = ShmRegion::hdr(region_, num_ranks_, ring_bytes_, r);
+    h->head.store(0, std::memory_order_relaxed);
+    h->tail.store(0, std::memory_order_relaxed);
+    h->lock.store(0, std::memory_order_release);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ShmChannel
 
@@ -151,6 +161,7 @@ void ShmChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
   RingHdr* h = ShmRegion::hdr(base, t_->num_ranks_, cap, dst);
   std::byte* ring = ShmRegion::data(base, t_->num_ranks_, cap, dst);
   const std::size_t max_piece = cap / 4;
+  if (peer_done(dst)) throw PeerFinished();
 
   // Producer lock: held across every piece of the frame so pieces land
   // contiguously and per-source order is the ring order.
@@ -161,6 +172,7 @@ void ShmChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
       break;
     }
     if (stopped()) throw ChannelStopped();
+    if (peer_done(dst)) throw PeerFinished();
     if (spin > 64) std::this_thread::sleep_for(std::chrono::microseconds(20));
   }
   struct Unlock {
@@ -174,10 +186,13 @@ void ShmChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
     const std::size_t need = sizeof(WireHdr) + piece;
     // Wait for ring space; the consumer frees it by draining. Progress is
     // guaranteed because the destination drains its ring in every park
-    // loop (receive, barrier), not only when it wants this frame.
+    // loop (receive, barrier), not only when it wants this frame — until it
+    // finishes, and then the frame is dropped (the pieces already committed
+    // stay behind until reset()).
     std::uint64_t tail = h->tail.load(std::memory_order_relaxed);
     while (cap - (tail - h->head.load(std::memory_order_acquire)) < need) {
       if (stopped()) throw ChannelStopped();
+      if (peer_done(dst)) throw PeerFinished();
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     WireHdr w;

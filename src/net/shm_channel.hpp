@@ -8,7 +8,8 @@
 // than the ring are streamed as partial pieces (the producer keeps the
 // lock, the consumer reassembles), so a bounded ring carries unbounded
 // payloads as long as the consumer drains. Consumers park on a futex
-// doorbell the producer rings after every committed piece.
+// doorbell the producer rings after every committed piece. The region
+// lives as long as the transport; reset() rewinds the rings between runs.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +37,12 @@ class ShmTransport final : public Transport {
   const char* name() const noexcept override { return "shm"; }
   int num_ranks() const noexcept override { return num_ranks_; }
   std::unique_ptr<Channel> attach(int rank) override;
+
+  /// Zeroes every ring's head, tail and producer lock: whatever a dead or
+  /// finished rank left behind (unread frames, a partial streamed frame, a
+  /// lock held by a killed producer) is gone. Doorbells keep counting, so
+  /// a waiter's "changed since I looked" test stays valid.
+  void reset() override;
 
  private:
   friend class ShmChannel;

@@ -5,8 +5,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#ifdef __linux__
+#include <linux/sockios.h>
+#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -83,6 +88,12 @@ TcpTransport::TcpTransport(int num_ranks) : num_ranks_(num_ranks) {
   if (num_ranks_ <= 0) {
     throw std::invalid_argument("TcpTransport: num_ranks must be positive");
   }
+  connect_mesh();
+}
+
+TcpTransport::~TcpTransport() { close_mesh(); }
+
+void TcpTransport::connect_mesh() {
   fds_.assign(static_cast<std::size_t>(num_ranks_) * static_cast<std::size_t>(num_ranks_),
               -1);
   for (int i = 0; i < num_ranks_; ++i) {
@@ -100,9 +111,10 @@ TcpTransport::TcpTransport(int num_ranks) : num_ranks_(num_ranks) {
   }
 }
 
-TcpTransport::~TcpTransport() {
-  for (const int fd : fds_) {
+void TcpTransport::close_mesh() {
+  for (int& fd : fds_) {
     if (fd >= 0) ::close(fd);
+    fd = -1;
   }
 }
 
@@ -127,6 +139,44 @@ void TcpTransport::isolate(int rank) {
   }
 }
 
+void TcpTransport::reset() {
+  // No endpoint is in use, so the only bytes that can still enter a stream
+  // are those already queued on a sending socket. Once none is, everything
+  // left is readable now: every rank's end drains it into frames that are
+  // discarded. A stream that ends mid-frame — a sender stopped mid-way, or a
+  // receiver stopped mid-read — is still empty afterwards, but its framing
+  // was lost, so the mesh is rebuilt rather than trusted; so is a send
+  // queue that does not empty within a second.
+  std::vector<std::unique_ptr<TcpChannel>> ends;
+  for (int r = 0; r < num_ranks_; ++r) ends.push_back(std::make_unique<TcpChannel>(this, r));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  bool clean = true;
+  for (std::vector<Frame> discarded;;) {
+    bool queued = false;
+#ifdef SIOCOUTQ
+    for (const int fd : fds_) {
+      int n = 0;
+      if (fd >= 0 && ::ioctl(fd, SIOCOUTQ, &n) == 0 && n > 0) queued = true;
+    }
+#endif
+    for (auto& end : ends) end->drain(discarded);
+    discarded.clear();
+    if (!queued) break;
+    if (std::chrono::steady_clock::now() > deadline) {
+      clean = false;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (const auto& end : ends) {
+    for (const auto& partial : end->streams_) clean = clean && partial.empty();
+  }
+  if (!clean) {
+    close_mesh();
+    connect_mesh();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TcpChannel
 
@@ -141,6 +191,7 @@ void TcpChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
   }
   const int fd = t_->fd(rank_, dst);
   if (fd < 0) throw std::logic_error("TcpChannel::send: fd closed (isolated rank?)");
+  if (peer_done(dst)) throw PeerFinished();
 
   detail::WireHdr w;
   w.len = static_cast<std::uint32_t>(len);
@@ -164,6 +215,9 @@ void TcpChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
         fail_errno("TcpChannel::send");
       }
       if (stopped()) throw ChannelStopped();
+      // A finished receiver frees no buffer space: drop the frame, even
+      // mid-way (reset() rebuilds a mesh whose stream ends mid-frame).
+      if (peer_done(dst)) throw PeerFinished();
       pollfd pf{fd, POLLOUT, 0};
       ::poll(&pf, 1, 10);
     }

@@ -8,7 +8,9 @@
 // and the channel reassembles them — which is exactly what a future
 // multi-node transport will need. Sockets run non-blocking with
 // poll()-based waits so blocked senders and parked receivers keep
-// observing the stop flag.
+// observing the stop flag. The mesh lives as long as the transport; reset()
+// empties every stream between runs, and rebuilds the mesh when it cannot
+// prove a stream clean.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +37,15 @@ class TcpTransport final : public Transport {
   /// process hosting several in-process endpoints must not call this).
   void isolate(int rank) override;
 
+  /// Waits (bounded) until no socket has unacknowledged bytes queued, then
+  /// reads and discards every stream down to EAGAIN. Rebuilds the mesh if
+  /// the wait times out or a discarded stream ends mid-frame.
+  void reset() override;
+
  private:
   friend class TcpChannel;
+  void connect_mesh();
+  void close_mesh();
   int fd(int owner, int peer) const noexcept {
     return fds_[static_cast<std::size_t>(owner) * static_cast<std::size_t>(num_ranks_) +
                 static_cast<std::size_t>(peer)];
@@ -58,6 +67,7 @@ class TcpChannel final : public Channel {
   bool wait(double timeout_s) override;
 
  private:
+  friend class TcpTransport;  // reset() drains through every rank's end
   TcpTransport* t_;
   int rank_;
   /// Per-peer receive stream buffer (bytes read but not yet framed).

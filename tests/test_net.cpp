@@ -1,9 +1,10 @@
 // Tests for the fxnet transport seam (src/net/): frame round-trips and
 // per-source FIFO order on both transports, streamed (partial) frames —
-// shm rings smaller than one payload, TCP byte-stream reassembly — and
-// stop-flag semantics for blocked senders and parked receivers. All
-// endpoints are attached in-process: the transports are plain byte movers
-// with no fork dependence, which is exactly what makes them testable here.
+// shm rings smaller than one payload, TCP byte-stream reassembly — stop-flag
+// and peer-done semantics for blocked senders and parked receivers, and
+// reset() discarding every leftover frame. All endpoints are attached
+// in-process: the transports are plain byte movers with no fork dependence,
+// which is exactly what makes them testable here.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,6 +50,14 @@ std::vector<net::Frame> drain_until(net::Channel& ch, std::size_t want) {
 std::unique_ptr<net::Transport> make_transport(const std::string& which, int n) {
   if (which == "shm") return std::make_unique<net::ShmTransport>(n);
   return std::make_unique<net::TcpTransport>(n);
+}
+
+/// Two ranks with buffers far smaller than the test payloads: a
+/// deliberately tiny shm ring, or the TCP mesh, whose kernel socket buffers
+/// force partial writes and reads anyway.
+std::unique_ptr<net::Transport> small_buffer_transport(const std::string& which) {
+  if (which == "shm") return std::make_unique<net::ShmTransport>(2, /*ring_bytes=*/4096);
+  return std::make_unique<net::TcpTransport>(2);
 }
 
 class NetTransport : public ::testing::TestWithParam<const char*> {};
@@ -121,12 +130,7 @@ TEST_P(NetTransport, LargeFrameStreamsThroughBoundedBuffers) {
   // on TCP the kernel socket buffers force partial writes and reads. The
   // producer blocks until the consumer drains, so it runs on its own
   // thread (in the real backend they are separate processes).
-  std::unique_ptr<net::Transport> t;
-  if (std::string(GetParam()) == "shm") {
-    t = std::make_unique<net::ShmTransport>(2, /*ring_bytes=*/4096);
-  } else {
-    t = std::make_unique<net::TcpTransport>(2);
-  }
+  auto t = small_buffer_transport(GetParam());
   auto c0 = t->attach(0);
   auto c1 = t->attach(1);
 
@@ -145,12 +149,7 @@ TEST_P(NetTransport, LargeFrameStreamsThroughBoundedBuffers) {
 TEST_P(NetTransport, SmallFramesAfterLargeOneStayFramed) {
   // Reassembly state must reset cleanly between frames: a streamed frame
   // followed by ordinary ones on the same source.
-  std::unique_ptr<net::Transport> t;
-  if (std::string(GetParam()) == "shm") {
-    t = std::make_unique<net::ShmTransport>(2, /*ring_bytes=*/4096);
-  } else {
-    t = std::make_unique<net::TcpTransport>(2);
-  }
+  auto t = small_buffer_transport(GetParam());
   auto c0 = t->attach(0);
   auto c1 = t->attach(1);
   const auto big = bytes_pattern(256 * 1024, 2);
@@ -170,12 +169,7 @@ TEST_P(NetTransport, SmallFramesAfterLargeOneStayFramed) {
 }
 
 TEST_P(NetTransport, StopFlagUnblocksSenderAndWaiter) {
-  std::unique_ptr<net::Transport> t;
-  if (std::string(GetParam()) == "shm") {
-    t = std::make_unique<net::ShmTransport>(2, /*ring_bytes=*/4096);
-  } else {
-    t = std::make_unique<net::TcpTransport>(2);
-  }
+  auto t = small_buffer_transport(GetParam());
   auto c0 = t->attach(0);
   auto c1 = t->attach(1);
   std::atomic<std::uint32_t> stop{0};
@@ -203,6 +197,73 @@ TEST_P(NetTransport, StopFlagUnblocksSenderAndWaiter) {
   const auto t0 = std::chrono::steady_clock::now();
   (void)c0->wait(30.0);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+}
+
+TEST_P(NetTransport, PeerDoneUnblocksSender) {
+  auto t = small_buffer_transport(GetParam());
+  auto c0 = t->attach(0);
+  auto c1 = t->attach(1);
+  std::atomic<bool> done{false};
+  c0->set_peer_done([&done](int dst) { return dst == 1 && done.load(); });
+
+  // Nobody drains rank 1: the producer blocks until rank 1 is declared
+  // finished, then gives up on the frame.
+  std::atomic<bool> threw{false};
+  const auto big = bytes_pattern(32u << 20, 5);
+  std::thread producer([&] {
+    try {
+      c0->send(1, net::FrameKind::Data, 9, big.data(), big.size());
+    } catch (const net::PeerFinished&) {
+      threw.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(threw.load());
+  done.store(true);
+  producer.join();
+  EXPECT_TRUE(threw.load());
+  // Once finished, a send gives up at entry, however small.
+  EXPECT_THROW(c0->send(1, net::FrameKind::Data, 10, big.data(), 8), net::PeerFinished);
+}
+
+// What a run can leave in a transport: a whole frame nobody received, and a
+// streamed frame whose sender stopped mid-way. After reset(), endpoints
+// attached afresh see only frames sent after it, in both directions.
+TEST_P(NetTransport, ResetDiscardsWholeAndPartialFrames) {
+  auto t = small_buffer_transport(GetParam());
+  std::atomic<std::uint32_t> stop{0};
+  {
+    auto c0 = t->attach(0);
+    auto c1 = t->attach(1);
+    c0->set_stop(&stop);
+    const auto small = bytes_pattern(100, 1);
+    c0->send(1, net::FrameKind::Data, 5, small.data(), small.size());
+    c1->send(0, net::FrameKind::Data, 5, small.data(), small.size());
+    const auto big = bytes_pattern(32u << 20, 2);
+    std::thread producer([&] {
+      EXPECT_THROW(c0->send(1, net::FrameKind::Data, 6, big.data(), big.size()),
+                   net::ChannelStopped);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    stop.store(1);
+    producer.join();
+  }
+  t->reset();
+
+  auto c0 = t->attach(0);
+  auto c1 = t->attach(1);
+  const auto fresh = bytes_pattern(300, 3);
+  c0->send(1, net::FrameKind::Data, 7, fresh.data(), fresh.size());
+  c1->send(0, net::FrameKind::Data, 8, fresh.data(), fresh.size());
+  for (auto* rx : {c1.get(), c0.get()}) {
+    auto got = drain_until(*rx, 1);
+    ASSERT_EQ(got.size(), 1u) << "rank " << rx->rank();
+    EXPECT_EQ(got[0].tag, rx->rank() == 1 ? 7u : 8u);
+    ASSERT_EQ(got[0].payload.size(), fresh.size());
+    EXPECT_EQ(std::memcmp(got[0].payload.data(), fresh.data(), fresh.size()), 0);
+    (void)rx->wait(0.05);
+    EXPECT_FALSE(rx->drain(got)) << "rank " << rx->rank() << " saw a stale frame";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, NetTransport, ::testing::Values("shm", "tcp"),
