@@ -1,7 +1,13 @@
 #include "apps/quicksort.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <new>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace fxpar::apps {
 
@@ -14,19 +20,47 @@ using machine::Context;
 using pgroup::ProcessorGroup;
 
 constexpr double kClassifyOpsPerElem = 3.0;
+constexpr int kDigitBits = 11;
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
 
 Layout block1d(const ProcessorGroup& g, std::int64_t n) {
   return Layout(g, {n}, {DimDist::block()});
 }
+
+/// A scratch block of `bytes` borrowed from the machine's payload pool and
+/// handed back by release() or on destruction, so repeated sorts reuse
+/// buffers instead of faulting in fresh pages.
+class PooledScratch {
+ public:
+  PooledScratch(machine::Machine& m, std::size_t bytes) : m_(m), buf_(m.pool_acquire(bytes)) {}
+  ~PooledScratch() { release(); }
+  void release() { m_.pool_release(std::exchange(buf_, machine::Payload{})); }
+  PooledScratch(const PooledScratch&) = delete;
+  PooledScratch& operator=(const PooledScratch&) = delete;
+
+  /// Starts the lifetime of an uninitialized T[n] at byte `offset`. Pool
+  /// buffers are operator-new aligned; `offset` must keep T aligned.
+  template <typename T>
+  T* array(std::size_t offset, std::size_t n) {
+    if (n == 0) return nullptr;
+    return ::new (static_cast<void*>(buf_.data() + offset)) T[n];
+  }
+
+ private:
+  machine::Machine& m_;
+  machine::Payload buf_;
+};
 
 /// Scatters the selected elements of every parent processor into `target`
 /// (block-distributed over a subgroup of `parent`). `mine` holds this
 /// processor's selected elements in local order; `counts[v]` the selection
 /// count of parent virtual rank v (identical knowledge on every member, so
 /// sender/receiver pairs are computed symmetrically and no empty messages
-/// are exchanged — the paper's localization rule).
+/// are exchanged — the paper's localization rule). Payloads are packed
+/// straight from `mine` and copied straight into the target block; the
+/// self part never leaves `mine`.
 void scatter_selected(Context& ctx, const ProcessorGroup& parent,
-                      const std::vector<std::int64_t>& mine,
+                      std::span<const std::int64_t> mine,
                       const std::vector<std::int64_t>& counts, DistArray<std::int64_t>& target) {
   const int P = parent.size();
   const int me = parent.virtual_of(ctx.phys_rank());
@@ -38,7 +72,6 @@ void scatter_selected(Context& ctx, const ProcessorGroup& parent,
   const ProcessorGroup& tg = tl.group();
 
   // Send phase.
-  std::vector<std::int64_t> self_buf;
   const std::int64_t my_lo = off[static_cast<std::size_t>(me)];
   const std::int64_t my_hi = my_lo + static_cast<std::int64_t>(mine.size());
   for (int r = 0; r < tg.size(); ++r) {
@@ -47,12 +80,11 @@ void scatter_selected(Context& ctx, const ProcessorGroup& parent,
     const std::int64_t lo = std::max(my_lo, runs.front().start);
     const std::int64_t hi = std::min(my_hi, runs.front().start + runs.front().len);
     if (lo >= hi) continue;
-    std::vector<std::int64_t> buf(mine.begin() + (lo - my_lo), mine.begin() + (hi - my_lo));
-    ctx.charge_mem_bytes(static_cast<double>(buf.size() * sizeof(std::int64_t)));
-    if (tg.physical(r) == ctx.phys_rank()) {
-      self_buf = std::move(buf);
-    } else {
-      ctx.send_phys(tg.physical(r), tag, comm::pack_span(std::span<const std::int64_t>(buf)));
+    const auto part = mine.subspan(static_cast<std::size_t>(lo - my_lo),
+                                   static_cast<std::size_t>(hi - lo));
+    ctx.charge_mem_bytes(static_cast<double>(part.size_bytes()));
+    if (tg.physical(r) != ctx.phys_rank()) {
+      ctx.send_phys(tg.physical(r), tag, comm::pack_span_pooled(ctx.machine(), part));
     }
   }
 
@@ -63,22 +95,22 @@ void scatter_selected(Context& ctx, const ProcessorGroup& parent,
   if (my_runs.empty()) return;
   const std::int64_t lo = my_runs.front().start;
   const std::int64_t hi = lo + my_runs.front().len;
-  auto local = target.local();
+  std::int64_t* const local = target.local().data();
   for (int s = 0; s < P; ++s) {
     const std::int64_t s_lo = std::max(off[static_cast<std::size_t>(s)], lo);
     const std::int64_t s_hi = std::min(off[static_cast<std::size_t>(s + 1)], hi);
     if (s_lo >= s_hi) continue;
-    std::vector<std::int64_t> data;
+    const std::size_t bytes = static_cast<std::size_t>(s_hi - s_lo) * sizeof(std::int64_t);
     if (s == me) {
-      data = std::move(self_buf);
-    } else {
-      data = comm::unpack_vector<std::int64_t>(ctx.recv_phys(parent.physical(s), tag));
+      ctx.charge_mem_bytes(static_cast<double>(bytes));
+      std::memcpy(local + (s_lo - lo), mine.data() + (s_lo - my_lo), bytes);
+      continue;
     }
-    if (static_cast<std::int64_t>(data.size()) != s_hi - s_lo) {
-      throw std::logic_error("scatter_selected: payload size mismatch");
-    }
-    ctx.charge_mem_bytes(static_cast<double>(data.size() * sizeof(std::int64_t)));
-    std::copy(data.begin(), data.end(), local.begin() + (s_lo - lo));
+    machine::Payload data = ctx.recv_phys(parent.physical(s), tag);
+    if (data.size() != bytes) throw std::logic_error("scatter_selected: payload size mismatch");
+    ctx.charge_mem_bytes(static_cast<double>(bytes));
+    std::memcpy(local + (s_lo - lo), data.data(), bytes);
+    ctx.machine().pool_release(std::move(data));
   }
 }
 
@@ -97,7 +129,64 @@ void write_pivot_range(DistArray<std::int64_t>& a, std::int64_t first, std::int6
 
 }  // namespace
 
+void leaf_sort(machine::Machine& m, std::span<std::int64_t> keys) {
+  const std::size_t n = keys.size();
+  if (n < kLeafRadixCutover) {
+    std::sort(keys.begin(), keys.end());
+    return;
+  }
+  // A plain min/max loop vectorizes; std::minmax_element's iterator
+  // tracking does not.
+  std::int64_t lo = keys[0], hi = keys[0];
+  for (const std::int64_t x : keys) {
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  const std::uint64_t base = static_cast<std::uint64_t>(lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(hi) - base;
+  if (range == 0) return;
+  const int passes = (std::bit_width(range) + kDigitBits - 1) / kDigitBits;
+  constexpr std::uint64_t kMask = kBuckets - 1;
+
+  // One pooled block: the per-pass count tables, then the ping-pong keys.
+  const std::size_t table_words = static_cast<std::size_t>(passes) * kBuckets;
+  PooledScratch scratch(m, (table_words + n) * sizeof(std::int64_t));
+  std::uint64_t* const counts = scratch.array<std::uint64_t>(0, table_words);
+  std::fill_n(counts, table_words, std::uint64_t{0});
+  for (const std::int64_t x : keys) {
+    const std::uint64_t u = static_cast<std::uint64_t>(x) - base;
+    for (int p = 0; p < passes; ++p) {
+      ++counts[static_cast<std::size_t>(p) * kBuckets + ((u >> (p * kDigitBits)) & kMask)];
+    }
+  }
+
+  std::int64_t* from = keys.data();
+  std::int64_t* to = scratch.array<std::int64_t>(table_words * sizeof(std::uint64_t), n);
+  for (int p = 0; p < passes; ++p) {
+    std::uint64_t* const c = counts + static_cast<std::size_t>(p) * kBuckets;
+    const int shift = p * kDigitBits;
+    // A digit every key shares moves nothing: skip the pass.
+    if (c[((static_cast<std::uint64_t>(from[0]) - base) >> shift) & kMask] == n) continue;
+    std::uint64_t sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint64_t k = c[b];
+      c[b] = sum;
+      sum += k;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t x = from[i];
+      to[c[((static_cast<std::uint64_t>(x) - base) >> shift) & kMask]++] = x;
+    }
+    std::swap(from, to);
+  }
+  if (from != keys.data()) std::memcpy(keys.data(), from, n * sizeof(std::int64_t));
+}
+
 void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
+  if (a.layout().ndims() != 1) {
+    throw std::invalid_argument("parallel_qsort: array '" + a.name() + "' must be 1-D, got " +
+                                std::to_string(a.layout().ndims()) + "-D");
+  }
   const std::int64_t n = a.layout().extent(0);
   if (n <= 1) return;
   const ProcessorGroup g = ctx.group();
@@ -106,8 +195,7 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
   }
 
   if (ctx.nprocs() == 1) {
-    auto local = a.local();
-    std::sort(local.begin(), local.end());
+    leaf_sort(ctx.machine(), a.local());
     ctx.charge_int_ops(2.0 * static_cast<double>(n) *
                        std::max(1.0, std::log2(static_cast<double>(n))));
     return;
@@ -120,23 +208,32 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
   const std::int64_t pivot = comm::broadcast(
       ctx, g, pivot_owner, a.owns(mid_idx) ? a.at(mid) : std::int64_t{0});
 
-  // Classify local elements (order-preserving).
-  std::vector<std::int64_t> less, greater;
-  std::int64_t eq = 0;
-  for (std::int64_t v : a.local()) {
+  // Classify local elements (order-preserving) into one exactly sized
+  // pooled block: count first, then fill — the less keys, then the greater.
+  const std::span<const std::int64_t> mine = a.local();
+  std::size_t nl = 0, ng = 0;
+  for (const std::int64_t v : mine) {
+    nl += v < pivot;
+    ng += v > pivot;
+  }
+  PooledScratch selected(ctx.machine(), (nl + ng) * sizeof(std::int64_t));
+  std::int64_t* const sel = selected.array<std::int64_t>(0, nl + ng);
+  const std::span<std::int64_t> less(sel, nl);
+  const std::span<std::int64_t> greater(sel + nl, ng);
+  std::size_t il = 0, ig = 0;
+  for (const std::int64_t v : mine) {
     if (v < pivot) {
-      less.push_back(v);
+      less[il++] = v;
     } else if (v > pivot) {
-      greater.push_back(v);
-    } else {
-      eq += 1;
+      greater[ig++] = v;
     }
   }
-  ctx.charge_int_ops(kClassifyOpsPerElem * static_cast<double>(a.local().size()));
+  const auto eq = static_cast<std::int64_t>(mine.size() - nl - ng);
+  ctx.charge_int_ops(kClassifyOpsPerElem * static_cast<double>(mine.size()));
 
   // Exchange per-processor counts (an allgather of triples).
-  std::vector<std::int64_t> triple{static_cast<std::int64_t>(less.size()), eq,
-                                   static_cast<std::int64_t>(greater.size())};
+  std::vector<std::int64_t> triple{static_cast<std::int64_t>(nl), eq,
+                                   static_cast<std::int64_t>(ng)};
   const auto gathered = comm::gather_vectors(ctx, g, 0, triple);
   const auto all_counts = comm::broadcast_vector(ctx, g, 0, gathered);
   const int P = g.size();
@@ -159,10 +256,10 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
     // equal keys peel off, so the problem strictly shrinks).
     const bool less_side = n_less > 0;
     auto& src_counts = less_side ? less_cnt : greater_cnt;
-    auto& src_vals = less_side ? less : greater;
     const std::int64_t m = less_side ? n_less : n_greater;
     DistArray<std::int64_t> rest(ctx, block1d(g, m), "qsort.rest");
-    scatter_selected(ctx, g, src_vals, src_counts, rest);
+    scatter_selected(ctx, g, less_side ? less : greater, src_counts, rest);
+    selected.release();
     parallel_qsort(ctx, rest);
     if (less_side) {
       dist::assign_shifted(ctx, a, {0}, rest);
@@ -188,6 +285,7 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
   // pick_less_than_pivot / pick_greater_...: value-dependent redistribution.
   scatter_selected(ctx, g, less, less_cnt, a_less);
   scatter_selected(ctx, g, greater, greater_cnt, a_greater);
+  selected.release();
 
   {
     core::TaskRegion region(ctx, part);
@@ -203,6 +301,7 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
 }
 
 std::vector<std::int64_t> qsort_input(std::int64_t n, unsigned seed) {
+  if (n < 0) throw std::invalid_argument("qsort_input: n must be >= 0, got " + std::to_string(n));
   std::vector<std::int64_t> v(static_cast<std::size_t>(n));
   std::uint64_t h = seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
   for (auto& x : v) {

@@ -36,6 +36,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "comm/serialize.hpp"
@@ -73,8 +74,7 @@ void pack_flat(const DistArray<T>& src, const plan::FlatPlan& fp, Payload& buf) 
 /// (corner-turn) segments scatter at a fixed receiver stride — no
 /// per-element offset resolution either way.
 template <typename T>
-void unpack_flat(DistArray<T>& dst, const plan::FlatPlan& fp, const Payload& buf) {
-  T* local = dst.local().data();
+void unpack_flat(T* local, const plan::FlatPlan& fp, const Payload& buf) {
   const std::byte* in = buf.data();
   std::size_t pos = 0;
   for (const plan::TransferSeg& s : fp.segs) {
@@ -107,13 +107,12 @@ Payload pack_plan(const DistArray<T>& src, int s_vrank, const TransferPlan& plan
 }
 
 template <typename T>
-void unpack_plan(DistArray<T>& dst, int r_vrank, const TransferPlan& plan,
+void unpack_plan(const Layout& dl, T* local, int r_vrank, const TransferPlan& plan,
                  const std::vector<int>& perm, const std::vector<std::int64_t>& offsets,
                  bool identity_perm, const Payload& data) {
   const int nd = static_cast<int>(plan.runs.size());
   std::vector<std::int64_t> gidx(static_cast<std::size_t>(nd), 0);
   std::vector<std::int64_t> didx(static_cast<std::size_t>(nd), 0);
-  const std::span<T> local = dst.local();
   std::size_t pos = 0;
   visit_plan(plan, gidx, 0, [&](const std::vector<std::int64_t>& g, std::int64_t len) {
     if (identity_perm) {
@@ -124,8 +123,8 @@ void unpack_plan(DistArray<T>& dst, int r_vrank, const TransferPlan& plan,
         didx[static_cast<std::size_t>(dd)] =
             g[static_cast<std::size_t>(dd)] + offsets[static_cast<std::size_t>(dd)];
       }
-      const std::int64_t off = dst.layout().local_offset(r_vrank, didx);
-      std::memcpy(local.data() + off, data.data() + pos,
+      const std::int64_t off = dl.local_offset(r_vrank, didx);
+      std::memcpy(local + off, data.data() + pos,
                   static_cast<std::size_t>(len) * sizeof(T));
       pos += static_cast<std::size_t>(len) * sizeof(T);
       return;
@@ -140,12 +139,24 @@ void unpack_plan(DistArray<T>& dst, int r_vrank, const TransferPlan& plan,
       T v;
       std::memcpy(&v, data.data() + pos, sizeof(T));
       pos += sizeof(T);
-      local[static_cast<std::size_t>(dst.layout().local_offset(r_vrank, didx))] = v;
+      local[dl.local_offset(r_vrank, didx)] = v;
     }
   });
 }
 
 }  // namespace detail
+
+/// Where an assignment lands: the destination layout, this processor's
+/// row-major local block of it (null on non-members) and the name its trace
+/// span carries. A DistArray destination is its local().data(); gather_full
+/// points the root's view at the vector it returns, so the data is unpacked
+/// straight into the result.
+template <typename T>
+struct DstView {
+  const Layout& layout;
+  T* local;
+  const std::string& name;
+};
 
 /// Generalized assignment: for every source index G inside the copied
 /// region, dst[ G[perm[0]]+offsets[0], ... ] = src[G]. `perm` maps
@@ -154,11 +165,11 @@ void unpack_plan(DistArray<T>& dst, int r_vrank, const TransferPlan& plan,
 /// called by every processor of the current scope; only the union of owner
 /// groups participates.
 template <typename T>
-void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
+void assign_general(Context& ctx, DstView<T> dst, const DistArray<T>& src,
                     std::vector<int> perm, std::vector<std::int64_t> offsets,
                     AssignSync sync = AssignSync::SubsetBarrier) {
   const Layout& sl = src.layout();
-  const Layout& dl = dst.layout();
+  const Layout& dl = dst.layout;
   if (sl.ndims() != dl.ndims()) {
     throw std::invalid_argument("assign: dimensionality mismatch");
   }
@@ -204,7 +215,7 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
     mt0 = ctx.machine().backend().now(me);
   }
   trace::ScopedSpan sp_;
-  if (ctx.tracer()) sp_ = ctx.span("assign:" + dst.name(), "redistribute");
+  if (ctx.tracer()) sp_ = ctx.span("assign:" + dst.name, "redistribute");
   const std::uint64_t tag = ctx.collective_tag(ug);
   if (sync == AssignSync::SubsetBarrier) ctx.barrier(ug);
 
@@ -270,7 +281,7 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
           throw std::logic_error("assign: payload size does not match plan");
         }
         ctx.charge_mem_bytes(static_cast<double>(buf.size()));
-        detail::unpack_flat(dst, fp, buf);
+        detail::unpack_flat(dst.local, fp, buf);
         ctx.machine().pool_release(std::move(buf));
         continue;
       }
@@ -299,12 +310,22 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
         throw std::logic_error("assign: payload size does not match plan");
       }
       ctx.charge_mem_bytes(static_cast<double>(buf.size()));
-      detail::unpack_plan(dst, r_me, *plan, perm, offsets, identity, buf);
+      detail::unpack_plan(dl, dst.local, r_me, *plan, perm, offsets, identity, buf);
     }
   }
   // Per-participant latency: modeled seconds on the simulator, real
   // seconds on the threaded backend.
   if (mm) mm->redist_s->observe(me, ctx.machine().backend().now(me) - mt0);
+}
+
+/// assign_general into a DistArray destination.
+template <typename T>
+void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
+                    std::vector<int> perm, std::vector<std::int64_t> offsets,
+                    AssignSync sync = AssignSync::SubsetBarrier) {
+  assign_general(ctx, DstView<T>{dst.layout(), dst.is_member() ? dst.local().data() : nullptr,
+                                 dst.name()},
+                 src, std::move(perm), std::move(offsets), sync);
 }
 
 /// dst = src with matching shapes (possibly different distributions and
@@ -361,19 +382,21 @@ void scatter_full(Context& ctx, DistArray<T>& a, int root_phys, const std::vecto
 
 /// Gathers the full array, row-major, onto physical processor `root_phys`.
 /// Must be called by all members of the owner group plus the root; the root
-/// returns the data, everyone else an empty vector.
+/// returns the data, everyone else an empty vector. The root's destination
+/// view is the returned vector itself: no collapsed temporary, no copy-out.
 template <typename T>
 std::vector<T> gather_full(Context& ctx, const DistArray<T>& a, int root_phys) {
   const pgroup::ProcessorGroup root_group({root_phys});
-  Layout dst_layout(root_group, a.layout().shape(),
-                    std::vector<DimDist>(static_cast<std::size_t>(a.layout().ndims()),
-                                         DimDist::collapsed()));
-  DistArray<T> tmp(ctx, std::move(dst_layout), a.name() + ".gather");
-  assign(ctx, tmp, a);
+  const Layout dst_layout(root_group, a.layout().shape(),
+                          std::vector<DimDist>(static_cast<std::size_t>(a.layout().ndims()),
+                                               DimDist::collapsed()));
+  const std::string name = a.name() + ".gather";
+  std::vector<T> full;
   if (ctx.phys_rank() == root_phys) {
-    return std::vector<T>(tmp.local().begin(), tmp.local().end());
+    full.resize(static_cast<std::size_t>(dst_layout.total_elements()));
   }
-  return {};
+  assign_general(ctx, DstView<T>{dst_layout, full.data(), name}, a, {}, {});
+  return full;
 }
 
 }  // namespace fxpar::dist

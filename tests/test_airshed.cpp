@@ -46,6 +46,23 @@ TEST(Airshed, TaskParallelMatchesReference) {
   }
 }
 
+TEST(Airshed, GatheredChecksumAndModelArePinned) {
+  // Both versions end in gather_full; its host-side rewrites must leave
+  // the checksum and the modeled run unchanged. Values recorded before
+  // gather_full unpacked straight into its result.
+  const auto cfg = small_cfg();
+  const auto dp = ap::run_airshed_dp(paragon(4), cfg);
+  EXPECT_EQ(dp.checksum, 0x1.bfb8c0b0f5ca5p+7);
+  EXPECT_EQ(dp.makespan, 0x1.5214109fd20a2p-3);
+  EXPECT_EQ(dp.machine_result.messages, 129u);
+  EXPECT_EQ(dp.machine_result.bytes, 25440u);
+  const auto tp = ap::run_airshed_taskpar(paragon(4), cfg);
+  EXPECT_EQ(tp.checksum, 0x1.bfb8c0b0f5ca5p+7);
+  EXPECT_EQ(tp.makespan, 0x1.abf9b8be220fdp-3);
+  EXPECT_EQ(tp.machine_result.messages, 50u);
+  EXPECT_EQ(tp.machine_result.bytes, 25280u);
+}
+
 TEST(Airshed, TaskParRequiresThreeProcs) {
   EXPECT_THROW(ap::run_airshed_taskpar(paragon(2), small_cfg()), std::invalid_argument);
 }

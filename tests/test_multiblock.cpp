@@ -38,6 +38,26 @@ TEST(Multiblock, TaskParallelMatchesReference) {
   }
 }
 
+TEST(Multiblock, GatheredChecksumAndModelArePinned) {
+  // The checksum is read through gather_full; its host-side rewrites must
+  // leave it and the modeled run unchanged. Values recorded before
+  // gather_full unpacked straight into its result.
+  ap::MultiblockConfig cfg;
+  cfg.rows = 20;
+  cfg.cols = 12;
+  cfg.iterations = 5;
+  const auto dp = ap::run_multiblock(paragon(4), cfg, /*task_parallel=*/false);
+  EXPECT_EQ(dp.checksum, 0x1.eeb259ba5e34dp+7);
+  EXPECT_EQ(dp.makespan, 0x1.d148a425556b7p-5);
+  EXPECT_EQ(dp.machine_result.messages, 126u);
+  EXPECT_EQ(dp.machine_result.bytes, 9120u);
+  const auto tp = ap::run_multiblock(paragon(4), cfg, /*task_parallel=*/true);
+  EXPECT_EQ(tp.checksum, 0x1.eeb259ba5e34dp+7);
+  EXPECT_EQ(tp.makespan, 0x1.f3a418c031fc5p-6);
+  EXPECT_EQ(tp.machine_result.messages, 63u);
+  EXPECT_EQ(tp.machine_result.bytes, 6560u);
+}
+
 TEST(Multiblock, MoreProcsThanRowsStillCorrect) {
   ap::MultiblockConfig cfg;
   cfg.rows = 4;

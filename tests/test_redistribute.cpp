@@ -3,12 +3,23 @@
 // gather_full, and the minimal-participating-set property.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <tuple>
 
 #include "dist/redistribute.hpp"
 #include "machine/context.hpp"
 
+#if defined(__SANITIZE_THREAD__)
+#define FXPAR_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FXPAR_TSAN 1
+#endif
+#endif
+
 namespace ds = fxpar::dist;
+namespace ex = fxpar::exec;
 namespace mx = fxpar::machine;
 namespace pg = fxpar::pgroup;
 
@@ -435,6 +446,126 @@ TEST(Redistribute, ScatterThenGatherRoundTrips) {
     }
   });
 }
+
+// ---------------------------------------------------------------------------
+// gather_full unpacks straight into the vector it returns. It must deliver
+// exactly what an assign into a collapsed DistArray on the root delivers,
+// with the same run: messages, bytes, barriers and the modeled finish time.
+
+namespace {
+
+struct GatherCase {
+  const char* name;
+  std::vector<int> members;  ///< physical ranks of the source's owner group
+  std::vector<std::int64_t> shape;
+  std::vector<int> dists;  ///< dist_by_id per dimension
+};
+
+const std::vector<GatherCase>& gather_cases() {
+  static const std::vector<GatherCase> cases = {
+      {"block1d", {0, 1, 2, 3}, {37}, {0}},
+      {"cyclic1d", {0, 1, 2, 3}, {37}, {1}},
+      {"blockcyclic1d", {0, 1, 2, 3}, {37}, {2}},
+      {"block_cyclic2d", {0, 1, 2, 3}, {9, 7}, {0, 1}},
+      {"cyclic_blockcyclic2d", {0, 1, 2, 3}, {9, 7}, {1, 2}},
+      {"blockcyclic_block2d", {0, 1, 2, 3}, {9, 7}, {2, 0}},
+      {"replicated2d", {0, 1, 2, 3}, {5, 6}, {3, 3}},
+      {"root_outside1d", {1, 2, 3}, {37}, {0}},
+      {"root_outside2d", {1, 2, 3}, {9, 7}, {1, 0}},
+  };
+  return cases;
+}
+
+/// Row-major value of element `gi`, distinct per element.
+std::int64_t gather_value(std::span<const std::int64_t> gi) {
+  std::int64_t v = 0;
+  for (const std::int64_t x : gi) v = v * 1000 + x + 1;
+  return v;
+}
+
+struct GatherRun {
+  mx::RunResult res;
+  std::vector<std::int64_t> full;  ///< what the root received
+};
+
+GatherRun run_gather(const GatherCase& gc, bool cache_on, ex::BackendKind backend,
+                     bool via_gather_full) {
+  auto c = cfg(4);
+  c.plan_cache = cache_on;
+  c.backend = backend;
+  GatherRun out;
+  mx::Machine m(c);
+  out.res = m.run([&](mx::Context& ctx) {
+    std::vector<ds::DimDist> dists;
+    for (const int id : gc.dists) dists.push_back(dist_by_id(id));
+    ds::DistArray<std::int64_t> a(ctx, ds::Layout(pg::ProcessorGroup(gc.members), gc.shape, dists),
+                                  "a");
+    a.fill(gather_value);
+    std::vector<std::int64_t> full;
+    if (via_gather_full) {
+      full = ds::gather_full(ctx, a, 0);
+    } else {
+      ds::DistArray<std::int64_t> tmp(
+          ctx,
+          ds::Layout(pg::ProcessorGroup({0}), gc.shape,
+                     std::vector<ds::DimDist>(gc.shape.size(), ds::DimDist::collapsed())),
+          "a.gather");
+      ds::assign(ctx, tmp, a);
+      if (tmp.is_member()) full.assign(tmp.local().begin(), tmp.local().end());
+    }
+    if (ctx.phys_rank() == 0) {
+      out.full = std::move(full);
+    } else {
+      EXPECT_TRUE(full.empty());
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
+class GatherFullView
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool, ex::BackendKind>> {};
+
+TEST_P(GatherFullView, MatchesAssignIntoCollapsedArray) {
+  const GatherCase& gc = gather_cases()[std::get<0>(GetParam())];
+  const bool cache_on = std::get<1>(GetParam());
+  const ex::BackendKind backend = std::get<2>(GetParam());
+#ifdef FXPAR_TSAN
+  if (backend == ex::BackendKind::Sim) {
+    GTEST_SKIP() << "simulator fibers (ucontext) are incompatible with ThreadSanitizer";
+  }
+#endif
+  const GatherRun view = run_gather(gc, cache_on, backend, true);
+  const GatherRun ref = run_gather(gc, cache_on, backend, false);
+  EXPECT_EQ(view.full, ref.full) << gc.name;
+  std::vector<std::int64_t> want;
+  const std::vector<std::int64_t>& sh = gc.shape;
+  if (sh.size() == 1) {
+    for (std::int64_t i = 0; i < sh[0]; ++i) want.push_back(gather_value(std::array{i}));
+  } else {
+    for (std::int64_t i = 0; i < sh[0]; ++i) {
+      for (std::int64_t j = 0; j < sh[1]; ++j) want.push_back(gather_value(std::array{i, j}));
+    }
+  }
+  EXPECT_EQ(view.full, want) << gc.name;
+  EXPECT_EQ(view.res.messages, ref.res.messages) << gc.name;
+  EXPECT_EQ(view.res.bytes, ref.res.bytes) << gc.name;
+  EXPECT_EQ(view.res.barriers, ref.res.barriers) << gc.name;
+  if (backend == ex::BackendKind::Sim) {
+    EXPECT_EQ(view.res.finish_time, ref.res.finish_time) << gc.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sources, GatherFullView,
+    ::testing::Combine(::testing::Range<std::size_t>(0, gather_cases().size()), ::testing::Bool(),
+                       ::testing::Values(ex::BackendKind::Sim, ex::BackendKind::Threads)),
+    [](const auto& info) {
+      return std::string(gather_cases()[std::get<0>(info.param)].name) +
+             (std::get<1>(info.param) ? "_cached" : "_uncached") +
+             (std::get<2>(info.param) == ex::BackendKind::Sim ? "_sim" : "_threads");
+    });
 
 // ---------------------------------------------------------------------------
 // Cached vs uncached parity. The plan cache is a host-time optimization
