@@ -13,8 +13,8 @@
 #endif
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
+#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -68,13 +68,6 @@ struct BarrierSlot {
   std::atomic<std::uint32_t> arrived{0};
   std::atomic<std::uint32_t> epoch{0};    ///< released episodes; the futex word
   std::atomic<std::uint32_t> waiting{0};  ///< members parked in an unreleased episode
-  std::atomic<std::int32_t> last_arriver{-1};   ///< published by the root pre-release
-  std::atomic<std::uint32_t> pad_{0};
-  std::atomic<std::uint64_t> max_arrival_bits{0};
-  /// Per-vrank arrival stamps; plain doubles synchronized by the `arrived`
-  /// RMW chain (each member stores before its fetch_add, the root's
-  /// fetch_add acquires the whole chain).
-  double arrive_t[kMaxProcs] = {};
 };
 
 struct Ctrl {
@@ -110,9 +103,6 @@ struct Ctrl {
 namespace {
 
 using procdetail::Ctrl;
-
-thread_local ProcBackend* t_powner = nullptr;
-thread_local int t_prank = -1;
 
 void sleep_s(double seconds) {
   timespec ts;
@@ -322,7 +312,6 @@ ProcBackend::ProcBackend(const machine::MachineConfig& config) : config_(config)
   }
   ctrl_ = new (mem) Ctrl();
   pids_.assign(static_cast<std::size_t>(config_.num_procs), 0);
-  t0_ = std::chrono::steady_clock::now();
 }
 
 ProcBackend::~ProcBackend() {
@@ -351,8 +340,6 @@ void ProcBackend::reset_run_state() {
     s.arrived.store(0, std::memory_order_relaxed);
     s.epoch.store(0, std::memory_order_relaxed);
     s.waiting.store(0, std::memory_order_relaxed);
-    s.last_arriver.store(-1, std::memory_order_relaxed);
-    s.max_arrival_bits.store(0, std::memory_order_relaxed);
   }
   if (config_.record_traffic) {
     const std::size_t n = static_cast<std::size_t>(num_procs()) *
@@ -368,23 +355,14 @@ void ProcBackend::reset_run_state() {
 // ---------------------------------------------------------------------------
 // Clocks, heartbeats, abort
 
-double ProcBackend::now_s() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
-}
-
 double ProcBackend::now(int rank) const {
   require_rank(rank, num_procs(), "ProcBackend::now: bad rank");
-  // t0_ is set before the fork, and CLOCK_MONOTONIC is machine-global, so
-  // every process reads (nearly) the same time base.
+  // The run clock restarts before the fork, so every process reads the
+  // same time base.
   return now_s();
 }
 
-int ProcBackend::current_rank() const {
-  if (t_powner != this || t_prank < 0) {
-    throw std::logic_error("ProcBackend: processor operation outside a processor body");
-  }
-  return t_prank;
-}
+int ProcBackend::current_rank() const { return CallingRank::of(this, "ProcBackend"); }
 
 void ProcBackend::charge(double /*seconds*/) {
   // Real time passes by itself; modeled cost parameters do not apply here.
@@ -394,7 +372,7 @@ std::span<const RankLive> ProcBackend::live() const {
   return {ctrl_->ranks, static_cast<std::size_t>(num_procs())};
 }
 
-RankLive& ProcBackend::self_live() const { return ctrl_->ranks[t_prank]; }
+RankLive& ProcBackend::self_live() const { return ctrl_->ranks[CallingRank::rank]; }
 
 void ProcBackend::check_abort() const {
   if (ctrl_->abort.load(std::memory_order_acquire) != procdetail::kAbortNone) {
@@ -447,14 +425,8 @@ void ProcBackend::drain_channel() {
   RankLive& lv = ctrl_->ranks[chan_->rank()];
   for (auto& f : frames) {
     if (f.kind == net::FrameKind::Data) {
-      // Wire layout of a Data frame: [u64 trace id][f64 send time][payload].
-      if (f.payload.size() < 16) continue;
-      PendingMsg m;
-      std::memcpy(&m.trace_id, f.payload.data(), 8);
-      std::memcpy(&m.sent_at, f.payload.data() + 8, 8);
-      f.payload.erase(f.payload.begin(), f.payload.begin() + 16);
-      m.data = std::move(f.payload);
-      matched_.push(MailKey{f.src, f.tag}, std::move(m));
+      // A Data frame is the message payload, nothing else.
+      matched_.push(MailKey{f.src, f.tag}, std::move(f.payload));
       lv.mail_depth.fetch_add(1, std::memory_order_relaxed);
       ctrl_->in_transit.fetch_sub(1, std::memory_order_seq_cst);
     } else {
@@ -469,9 +441,10 @@ void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   check_abort();
   beat();
   const std::size_t nbytes = data.size();
-  const double sent_at = now_s();
-  std::uint64_t trace_id = 0;
-  if (tracer_) trace_id = tracer_->message_sent(src, dst, tag, nbytes, sent_at, sent_at);
+  if (tracer_) {
+    const double sent_at = now_s();
+    tracer_->message_sent(src, dst, tag, nbytes, sent_at, sent_at);
+  }
   RankLive& lv = ctrl_->ranks[src];
   lv.messages += 1;
   lv.bytes += nbytes;
@@ -484,19 +457,14 @@ void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   if (dst == src) {
     // Self-sends never touch a transport: match locally, exactly like the
     // other backends' self-mailbox path.
-    matched_.push(MailKey{src, tag}, PendingMsg{std::move(data), trace_id, sent_at});
+    matched_.push(MailKey{src, tag}, std::move(data));
     lv.mail_depth.fetch_add(1, std::memory_order_relaxed);
   } else {
-    std::vector<std::byte> buf;
-    buf.reserve(16 + nbytes);
-    put<std::uint64_t>(buf, trace_id);
-    put<double>(buf, sent_at);
-    put_raw(buf, data.data(), nbytes);
     // Count the frame in flight *before* it becomes drainable, so the
     // deadlock monitor can never see "all parked" with a message en route.
     ctrl_->in_transit.fetch_add(1, std::memory_order_seq_cst);
     try {
-      chan_->send(dst, net::FrameKind::Data, tag, buf.data(), buf.size());
+      chan_->send(dst, net::FrameKind::Data, tag, data.data(), nbytes);
     } catch (const net::ChannelStopped&) {
       ctrl_->in_transit.fetch_sub(1, std::memory_order_seq_cst);
       throw AbortError{};
@@ -526,10 +494,8 @@ Payload ProcBackend::receive(int src, std::uint64_t tag) {
       lv.mail_depth.fetch_sub(1, std::memory_order_relaxed);
       beat();
       if (blocked) lv.add_wait(now_s() - entry);
-      if (tracer_ && m->trace_id != 0) {
-        tracer_->message_received_at(m->trace_id, rank, src, m->sent_at, entry, now_s());
-      }
-      return std::move(m->data);
+      if (tracer_) tracer_->message_received(rank, src, tag, entry, now_s());
+      return std::move(*m);
     }
     // Park on the channel doorbell. The bounded timeout keeps the loop
     // responsive to the abort word even without a wake.
@@ -547,7 +513,7 @@ Payload ProcBackend::receive(int src, std::uint64_t tag) {
 
 void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
   const int rank = current_rank();
-  const int vrank = pgroup::require_member(group, rank, "Machine::barrier");
+  pgroup::require_member(group, rank, "Machine::barrier");
   check_abort();
   beat();
   RankLive& lv = ctrl_->ranks[rank];
@@ -556,19 +522,13 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
   if (n == 1) return;
 
   procdetail::BarrierSlot* slot = barrier_slot_for(ctrl_, group);
-  const std::uint64_t episode = ++barrier_epoch_[group.key()];
-  const auto want = static_cast<std::uint32_t>(episode);
+  const auto want = static_cast<std::uint32_t>(++barrier_epoch_[group.key()]);
   const double arrived_at = now_s();
-  slot->arrive_t[vrank] = arrived_at;
 
   if (slot->arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       static_cast<std::uint32_t>(n)) {
-    // Root (the last arriver): publish the release cause, reset the slot
-    // for the next episode, then bump the epoch and wake the waiters.
-    const auto [last, max_t] = latest_arrival(slot->arrive_t, group);
-    slot->last_arriver.store(last, std::memory_order_relaxed);
-    slot->max_arrival_bits.store(std::bit_cast<std::uint64_t>(max_t),
-                                 std::memory_order_relaxed);
+    // Root (the last arriver): reset the slot for the next episode, then
+    // bump the epoch and wake the waiters.
     slot->arrived.store(0, std::memory_order_relaxed);
     slot->epoch.fetch_add(1, std::memory_order_seq_cst);
     ctrl_->progress.fetch_add(1, std::memory_order_seq_cst);
@@ -602,12 +562,7 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
 
   const double released_at = now_s();
   if (released_at > arrived_at) lv.add_wait(released_at - arrived_at);
-  if (tracer_) {
-    tracer_->barrier_record(
-        group.key(), episode, rank, arrived_at, released_at,
-        slot->last_arriver.load(std::memory_order_relaxed),
-        std::bit_cast<double>(slot->max_arrival_bits.load(std::memory_order_relaxed)));
-  }
+  if (tracer_) tracer_->barrier_note(rank, group.key(), arrived_at, released_at);
 }
 
 // ---------------------------------------------------------------------------
@@ -670,8 +625,7 @@ void ProcBackend::run(const std::function<void(int)>& body) {
   }
   reset_run_state();
   const int p = num_procs();
-  t0_ = std::chrono::steady_clock::now();
-  if (tracer_) tracer_->set_concurrent(p);
+  clock_.restart();
 
   // No child is alive here (the previous run reaped them all), so the
   // transport can be rewound instead of rebuilt.
@@ -704,8 +658,7 @@ void ProcBackend::run(const std::function<void(int)>& body) {
   monitor_ = std::thread([this] { monitor_loop(); });
 
   // The parent doubles as rank 0 on the calling thread.
-  t_powner = this;
-  t_prank = 0;
+  CallingRank::bind(this, 0);
   beat();
   std::exception_ptr my_err;
   bool i_failed_first = false;
@@ -725,15 +678,13 @@ void ProcBackend::run(const std::function<void(int)>& body) {
   ctrl_->ranks[0].elapsed_s = now_s();
   ctrl_->ranks[0].done.store(1, std::memory_order_seq_cst);
   ctrl_->progress.fetch_add(1, std::memory_order_seq_cst);
-  t_powner = nullptr;
-  t_prank = -1;
+  CallingRank::unbind();
 
   wait_for_children();
   stop_monitor();
   reap_children();
 
   if (ctrl_->abort.load(std::memory_order_acquire) == 0) absorb_residue();
-  if (tracer_) tracer_->merge_concurrent();
   chan_.reset();
 
   const std::uint32_t aborted = ctrl_->abort.load(std::memory_order_acquire);
@@ -758,8 +709,7 @@ void ProcBackend::child_main(const std::function<void(int)>& body, int rank,
   (void)parent;
 #endif
   is_child_ = true;
-  t_powner = this;
-  t_prank = rank;
+  CallingRank::bind(this, rank);
   // Parent-only bookkeeping inherited through fork must not act here.
   pids_.assign(pids_.size(), 0);
   matched_.clear();

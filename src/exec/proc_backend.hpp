@@ -48,7 +48,6 @@
 #include <sys/types.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -105,14 +104,7 @@ class ProcBackend final : public Backend {
   bool stealing_loops() const noexcept override { return false; }
 
  private:
-  /// One matched (or self-deposited) message awaiting its receive.
-  struct PendingMsg {
-    Payload data;
-    std::uint64_t trace_id = 0;
-    double sent_at = 0.0;
-  };
-
-  double now_s() const;
+  double now_s() const { return clock_.now_s(); }
   std::span<const RankLive> live() const;
   RankLive& self_live() const;
   void beat() { self_live().beat(now_s()); }
@@ -147,7 +139,7 @@ class ProcBackend final : public Backend {
 
   procdetail::Ctrl* ctrl_ = nullptr;
   std::size_t ctrl_bytes_ = 0;
-  std::chrono::steady_clock::time_point t0_;
+  RunClock clock_;
 
   // The transport is built by the first run and reset by every later one.
   // Every process holds its own endpoint, attached fresh each run: the
@@ -155,7 +147,7 @@ class ProcBackend final : public Backend {
   // rank right after.
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<net::Channel> chan_;
-  MailStore<PendingMsg> matched_;
+  MailStore<Payload> matched_;  ///< matched (or self-deposited) messages
   std::vector<net::Frame> ctrl_frames_;              ///< rank 0: stashed control frames
   std::map<std::uint64_t, std::uint64_t> barrier_epoch_;  ///< per-group episode counter
 

@@ -10,13 +10,14 @@
 //
 //   MailStore<Msg>  the per-(src, tag) FIFO matcher (the simulator uses it
 //                   too, so all three backends match messages identically);
+//   RunClock        the real-time run clock (seconds since run start);
+//   CallingRank     which rank the calling thread is running;
 //   RankLive        one rank's live state, made only of lock-free atomics and
 //                   plain owner-written counters, so the process backend
 //                   places it unchanged in its MAP_SHARED control block;
 //   free functions  stats aggregation, per-worker introspection, progress,
-//                   barrier release causes, the DeadlockError text, the POD
-//                   failure snapshot (freeze/thaw) and the one quiescence
-//                   rule.
+//                   the DeadlockError text, the POD failure snapshot
+//                   (freeze/thaw) and the one quiescence rule.
 //
 // The deadlock rule (quiescent() below): a verdict needs every unfinished
 // rank parked, no pending wakeup, and no progress across the check. A
@@ -28,12 +29,14 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -81,6 +84,45 @@ class MailStore {
 
  private:
   std::map<MailKey, std::deque<Msg>> boxes_;  ///< never holds an empty deque
+};
+
+/// Real seconds since the current run started. Restarted before the ranks
+/// launch; CLOCK_MONOTONIC is machine-global, so worker threads and forked
+/// processes all read the same time base.
+class RunClock {
+ public:
+  void restart() noexcept { t0_ = std::chrono::steady_clock::now(); }
+  double now_s() const noexcept {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
+};
+
+/// The rank the calling OS thread runs. A worker thread, or a process
+/// backend rank's main thread, binds itself for the duration of its body.
+/// At most one backend's rank runs on any OS thread at a time, so an
+/// (owner, rank) pair is enough; the owner guards against operations
+/// issued from threads the backend does not own (e.g. a test driver).
+struct CallingRank {
+  static inline thread_local const void* owner = nullptr;
+  static inline thread_local int rank = -1;
+
+  static void bind(const void* backend, int r) noexcept {
+    owner = backend;
+    rank = r;
+  }
+  static void unbind() noexcept { bind(nullptr, -1); }
+  /// The bound rank; throws std::logic_error naming `who` when the caller
+  /// is not one of `backend`'s ranks.
+  static int of(const void* backend, const char* who) {
+    if (owner != backend || rank < 0) {
+      throw std::logic_error(std::string(who) +
+                             ": processor operation outside a processor body");
+    }
+    return rank;
+  }
 };
 
 /// Why a rank is blocked in a machine service.
@@ -252,18 +294,6 @@ inline std::uint64_t rank_progress(std::span<const RankLive> ranks,
     p += r.beats.load(std::memory_order_relaxed) + r.done.load(std::memory_order_relaxed);
   }
   return p;
-}
-
-/// The release cause of a barrier episode, given every member's arrival
-/// stamp by virtual rank: the physical rank with the latest arrival (the
-/// highest vrank among ties) and that stamp.
-inline std::pair<int, double> latest_arrival(const double* arrive_t,
-                                             const pgroup::ProcessorGroup& g) {
-  int last = 0;
-  for (int i = 1; i < g.size(); ++i) {
-    if (arrive_t[i] >= arrive_t[last]) last = i;
-  }
-  return {g.members()[static_cast<std::size_t>(last)], arrive_t[last]};
 }
 
 /// The runtime::DeadlockError text: one "proc N: <reason>" line per rank.

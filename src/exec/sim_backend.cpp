@@ -136,12 +136,9 @@ void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   sim_->advance(config_.send_overhead + static_cast<double>(bytes) * config_.byte_time);
   const runtime::SimTime arrival = sim_->now() + config_.latency;
 
-  Message msg{std::move(data), arrival, 0};
-  if (tracer_) {
-    msg.trace_id = tracer_->message_sent(src, dst, tag, bytes, send_start, sim_->now());
-  }
+  if (tracer_) tracer_->message_sent(src, dst, tag, bytes, send_start, sim_->now());
   const MailKey key{src, tag};
-  mailboxes_[static_cast<std::size_t>(dst)].push(key, std::move(msg));
+  mailboxes_[static_cast<std::size_t>(dst)].push(key, Message{std::move(data), arrival});
   stat_messages_ += 1;
   stat_bytes_ += bytes;
   progress_ += 1;
@@ -166,9 +163,7 @@ Payload SimBackend::receive(int src, std::uint64_t tag) {
   for (;;) {
     if (auto msg = box.pop(key)) {
       sim_->advance_to(msg->arrival);
-      if (tracer_ && msg->trace_id != 0) {
-        tracer_->message_received(msg->trace_id, recv_entry, sim_->now());
-      }
+      if (tracer_) tracer_->message_received(dst, src, tag, recv_entry, sim_->now());
       sim_->advance(config_.recv_overhead);
       progress_ += 1;
       return std::move(msg->data);
@@ -197,27 +192,24 @@ void SimBackend::barrier(const pgroup::ProcessorGroup& group) {
   }
   BarrierState& st = barriers_[group.key()];
   st.size = n;
-  if (tracer_) {
-    if (st.arrived == 0) st.trace_id = tracer_->barrier_open(group.key());
-    tracer_->barrier_arrive(st.trace_id, me, sim_->now());
-  }
   st.arrived += 1;
-  // The happens-before cause of the release is the proc with the latest
-  // *modeled* arrival, which need not be the fiber that executes last.
-  if (st.last_arriver < 0 || sim_->now() >= st.max_arrival) st.last_arriver = me;
-  st.max_arrival = std::max(st.max_arrival, sim_->now());
+  const runtime::SimTime arrived_at = sim_->now();
+  const std::uint64_t arrival_seq = progress_;  // fiber execution order
+  // The release is modeled from the latest *modeled* arrival, which need
+  // not be the fiber that executes last.
+  st.max_arrival = std::max(st.max_arrival, arrived_at);
   if (st.arrived < n) {
     st.waiting.push_back(me);
     sim_->block("barrier on group " + group.to_string());
-    return;  // woken by the last arriver with the clock already advanced
+    // Woken by the last arriver with the clock already at the release.
+  } else {
+    const runtime::SimTime release = st.max_arrival + cost;
+    std::vector<int> waiting = std::move(st.waiting);
+    barriers_.erase(group.key());
+    for (int r : waiting) sim_->wake(r, release);
+    sim_->advance_to(release);
   }
-  // Last arriver: release everyone.
-  const runtime::SimTime release = st.max_arrival + cost;
-  if (tracer_) tracer_->barrier_release(st.trace_id, st.last_arriver, st.max_arrival, release);
-  std::vector<int> waiting = std::move(st.waiting);
-  barriers_.erase(group.key());
-  for (int r : waiting) sim_->wake(r, release);
-  sim_->advance_to(release);
+  if (tracer_) tracer_->barrier_note(me, group.key(), arrived_at, sim_->now(), arrival_seq);
 }
 
 void SimBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,

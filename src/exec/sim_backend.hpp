@@ -55,7 +55,6 @@ class SimBackend final : public Backend {
   struct Message {
     Payload data;
     runtime::SimTime arrival = 0.0;
-    std::uint64_t trace_id = 0;  ///< TraceRecorder message id (0 = untraced)
   };
   struct WaitState {
     bool waiting = false;
@@ -65,9 +64,7 @@ class SimBackend final : public Backend {
     int size = 0;  ///< group size (for occupancy introspection)
     int arrived = 0;
     runtime::SimTime max_arrival = 0.0;
-    int last_arriver = -1;       ///< proc whose modeled arrival is max_arrival
-    std::vector<int> waiting;    ///< physical ranks blocked in this barrier
-    std::uint64_t trace_id = 0;  ///< TraceRecorder barrier id (0 = untraced)
+    std::vector<int> waiting;  ///< physical ranks blocked in this barrier
   };
 
   machine::MachineConfig config_;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "metrics/runtime_metrics.hpp"
@@ -14,13 +14,6 @@
 
 namespace fxpar::exec {
 namespace {
-
-// Identity of the calling worker. A worker thread of at most one
-// ThreadedBackend runs on any OS thread at a time, so a (backend, rank)
-// pair is enough; the backend pointer guards against ops issued from
-// threads the backend does not own (e.g. the test driver).
-thread_local const ThreadedBackend* t_owner = nullptr;
-thread_local int t_rank = -1;
 
 constexpr int kSpinRounds = 256;  ///< brief spin before parking on the cv
 
@@ -41,7 +34,6 @@ constexpr std::uint64_t kEpochScramble = 0x9e3779b97f4a7c15ull;
 ThreadedBackend::TreeBarrier::TreeBarrier(std::vector<int> member_list)
     : members(std::move(member_list)), nodes(members.size()) {
   const int n = static_cast<int>(members.size());
-  arrive_t.assign(static_cast<std::size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
     int fanin = 1;  // the member itself
     if (2 * i + 1 < n) ++fanin;
@@ -56,7 +48,7 @@ ThreadedBackend::TreeBarrier::TreeBarrier(std::vector<int> member_list)
 
 ThreadedBackend::ThreadedBackend(const machine::MachineConfig& config)
     : config_(config),
-      live_(std::make_unique<RankLive[]>(static_cast<std::size_t>(config.num_procs))) {
+        live_(std::make_unique<RankLive[]>(static_cast<std::size_t>(config.num_procs))) {
   workers_.reserve(static_cast<std::size_t>(config_.num_procs));
   for (int r = 0; r < config_.num_procs; ++r) {
     workers_.push_back(std::make_unique<Worker>());
@@ -66,7 +58,6 @@ ThreadedBackend::ThreadedBackend(const machine::MachineConfig& config)
                         static_cast<std::size_t>(config_.num_procs),
                     0);
   }
-  t0_ = std::chrono::steady_clock::now();
 }
 
 ThreadedBackend::~ThreadedBackend() {
@@ -78,22 +69,12 @@ ThreadedBackend::~ThreadedBackend() {
   free_pending_messages();
 }
 
-double ThreadedBackend::now_s() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
-}
-
 double ThreadedBackend::now(int rank) const {
   require_rank(rank, num_procs(), "ThreadedBackend::now: bad rank");
   return now_s();  // one real clock; every processor reads the same time
 }
 
-int ThreadedBackend::current_rank() const {
-  if (t_owner != this || t_rank < 0) {
-    throw std::logic_error(
-        "ThreadedBackend: processor operation outside a processor body");
-  }
-  return t_rank;
-}
+int ThreadedBackend::current_rank() const { return CallingRank::of(this, "ThreadedBackend"); }
 
 ThreadedBackend::Worker& ThreadedBackend::self() {
   return *workers_[static_cast<std::size_t>(current_rank())];
@@ -180,8 +161,7 @@ void ThreadedBackend::wake_all() {
 void ThreadedBackend::run(const std::function<void(int)>& body) {
   reset_run_state();
   const int p = num_procs();
-  t0_ = std::chrono::steady_clock::now();
-  if (tracer_) tracer_->set_concurrent(p);
+  clock_.restart();
 
   // Worker placement under MachineConfig::pinning: probe the host topology
   // once per run and hand each worker its (cpu, node) slot. The plan is
@@ -198,8 +178,7 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
     const WorkerPlacement place =
         pin_plan.empty() ? WorkerPlacement{} : pin_plan[static_cast<std::size_t>(r)];
     w.thread = std::thread([this, &body, &lv, r, place] {
-      t_owner = this;
-      t_rank = r;
+      CallingRank::bind(this, r);
       if (place.cpu >= 0 && pin_current_thread(place)) {
         lv.cpu.store(place.cpu, std::memory_order_relaxed);
         lv.node.store(place.node, std::memory_order_relaxed);
@@ -220,8 +199,7 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
       // waiting on; poke every parked peer so they re-evaluate.
       progress_.fetch_add(1, std::memory_order_seq_cst);
       wake_all();
-      t_owner = nullptr;
-      t_rank = -1;
+      CallingRank::unbind();
     });
   }
   for (auto& wp : workers_) wp->thread.join();
@@ -233,7 +211,6 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
     }
     metrics_->pinned_workers->set(pinned);
   }
-  if (tracer_) tracer_->merge_concurrent();
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
@@ -270,16 +247,16 @@ void ThreadedBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
   RankLive& me = self_live();
   me.beat(now_s());
-  const int src = t_rank;
+  const int src = CallingRank::rank;
   const std::size_t bytes = data.size();
 
   auto* node = new MsgNode{};
   node->src = src;
   node->tag = tag;
   node->data = std::move(data);
-  node->sent_at = now_s();
   if (tracer_) {
-    node->trace_id = tracer_->message_sent(src, dst, tag, bytes, node->sent_at, node->sent_at);
+    const double sent_at = now_s();
+    tracer_->message_sent(src, dst, tag, bytes, sent_at, sent_at);
   }
 
   me.messages += 1;
@@ -333,7 +310,7 @@ void ThreadedBackend::drain_inbox(Worker& w) {
 Payload ThreadedBackend::receive(int src, std::uint64_t tag) {
   require_rank(src, num_procs(), "Machine::receive: bad source");
   Worker& me = self();
-  RankLive& lv = live_[t_rank];
+  RankLive& lv = live_[CallingRank::rank];
   lv.beat(now_s());
   const MailKey key{src, tag};
   const double entry = now_s();
@@ -346,10 +323,7 @@ Payload ThreadedBackend::receive(int src, std::uint64_t tag) {
       lv.mail_depth.fetch_sub(1, std::memory_order_relaxed);
       lv.beat(now_s());
       if (blocked) lv.add_wait(now_s() - entry);
-      if (tracer_ && (*node)->trace_id != 0) {
-        tracer_->message_received_at((*node)->trace_id, t_rank, src, (*node)->sent_at, entry,
-                                     now_s());
-      }
+      if (tracer_) tracer_->message_received(CallingRank::rank, src, tag, entry, now_s());
       return std::move((*node)->data);
     }
     if (spin < kSpinRounds) {
@@ -411,7 +385,7 @@ std::shared_ptr<ThreadedBackend::TreeBarrier> ThreadedBackend::barrier_for(
 
 void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
   Worker& me = self();
-  const int rank = t_rank;
+  const int rank = CallingRank::rank;
   const int vrank = pgroup::require_member(group, rank, "Machine::barrier");
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
   RankLive& lv = live_[rank];
@@ -423,7 +397,6 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
   std::shared_ptr<TreeBarrier> tb = barrier_for(me, group);
   const std::uint64_t episode = ++me.barrier_epoch[group.key()];
   const double arrived_at = now_s();
-  if (tracer_) tb->arrive_t[static_cast<std::size_t>(vrank)] = arrived_at;
 
   // Signal completed subtrees up the combining tree. Each node resets
   // itself for the next episode when it fires, which is safe because no
@@ -434,10 +407,7 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
     tb->nodes[static_cast<std::size_t>(node)].pending.store(
         tb->nodes[static_cast<std::size_t>(node)].fanin, std::memory_order_relaxed);
     if (node == 0) {
-      // Root: the whole group has arrived. Publish trace data, then release.
-      if (tracer_) {
-        std::tie(tb->last_arriver, tb->max_arrival) = latest_arrival(tb->arrive_t.data(), group);
-      }
+      // Root: the whole group has arrived; release it.
       tb->released.store(episode, std::memory_order_seq_cst);
       progress_.fetch_add(1, std::memory_order_seq_cst);
       {
@@ -486,10 +456,7 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
 
   const double released_at = now_s();
   if (released_at > arrived_at) lv.add_wait(released_at - arrived_at);
-  if (tracer_) {
-    tracer_->barrier_record(group.key(), episode, rank, arrived_at, released_at,
-                            tb->last_arriver, tb->max_arrival);
-  }
+  if (tracer_) tracer_->barrier_note(rank, group.key(), arrived_at, released_at);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,7 +465,7 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
 void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
                                  std::int64_t hi, const ChunkBody& body) {
   Worker& me = self();
-  const int rank = t_rank;
+  const int rank = CallingRank::rank;
   const int v = pgroup::require_member(group, rank, "Machine::run_chunks");
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
   if (hi <= lo) return;
@@ -687,7 +654,7 @@ void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64
 
 void ThreadedBackend::io_operation(std::size_t bytes) {
   RankLive& me = self_live();
-  const int rank = t_rank;
+  const int rank = CallingRank::rank;
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
   me.beat(now_s());
   const double entry = now_s();

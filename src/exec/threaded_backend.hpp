@@ -50,7 +50,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -104,8 +103,6 @@ class ThreadedBackend final : public Backend {
     int src = -1;
     std::uint64_t tag = 0;
     Payload data;
-    double sent_at = 0.0;        ///< real send time (trace cause edge)
-    std::uint64_t trace_id = 0;  ///< TraceRecorder message id (0 = untraced)
   };
 
   /// Combining-tree barrier for one processor group. Node i's counter
@@ -119,18 +116,11 @@ class ThreadedBackend final : public Backend {
       std::atomic<int> pending{0};
       int fanin = 0;
     };
-    std::vector<int> members;      ///< group-key collision guard: the registering group
-    std::vector<Node> nodes;       ///< indexed by vrank; parent(i) = (i-1)/2
-    std::vector<double> arrive_t;  ///< real arrival stamps (traced runs only)
+    std::vector<int> members;  ///< group-key collision guard: the registering group
+    std::vector<Node> nodes;   ///< indexed by vrank; parent(i) = (i-1)/2
     std::atomic<std::uint64_t> released{0};  ///< highest released episode
     std::mutex mu;
     std::condition_variable cv;
-
-    // Published by the root before advancing `released` (traced runs). A
-    // member reads these only after acquiring `released >= episode`, and
-    // the next episode cannot overwrite them until that member re-arrives.
-    int last_arriver = -1;  ///< physical rank with the latest arrival
-    double max_arrival = 0.0;
   };
 
   /// One work-stealing episode of one group's data-parallel loop (one
@@ -189,7 +179,7 @@ class ThreadedBackend final : public Backend {
     std::thread thread;
   };
 
-  double now_s() const;
+  double now_s() const { return clock_.now_s(); }
   Worker& self();
   RankLive& self_live() { return live_[current_rank()]; }
   std::span<const RankLive> live() const {
@@ -215,7 +205,7 @@ class ThreadedBackend final : public Backend {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<RankLive[]> live_;  ///< indexed by rank
   std::vector<std::uint64_t> traffic_;  ///< src * P + dst; row src owned by its worker
-  std::chrono::steady_clock::time_point t0_;
+  RunClock clock_;
 
   std::atomic<bool> aborted_{false};
   std::mutex err_mu_;

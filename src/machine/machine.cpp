@@ -45,7 +45,12 @@ Machine::Machine(MachineConfig config) : config_(config) {
       break;
   }
   if (config_.trace) {
-    tracer_ = std::make_shared<trace::TraceRecorder>(config_.num_procs);
+    // Only the simulator charges modeled compute; the real-time backends
+    // derive span busy time from elapsed time.
+    tracer_ = std::make_shared<trace::TraceRecorder>(
+        config_.num_procs, config_.backend == exec::BackendKind::Sim
+                               ? trace::TraceRecorder::Busy::Charged
+                               : trace::TraceRecorder::Busy::Elapsed);
     tracer_->set_clock([this](int rank) { return backend_->now(rank); });
     backend_->set_tracer(tracer_.get());
   }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <iterator>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 namespace fxpar::trace {
@@ -19,45 +21,25 @@ const char* wait_kind_name(WaitKind k) {
   return "?";
 }
 
-TraceRecorder::TraceRecorder(int num_procs) {
+TraceRecorder::TraceRecorder(int num_procs, Busy busy) : busy_(busy) {
   if (num_procs <= 0) throw std::invalid_argument("TraceRecorder: num_procs must be positive");
   open_.resize(static_cast<std::size_t>(num_procs));
-  totals_.resize(static_cast<std::size_t>(num_procs));
-  placements_.resize(static_cast<std::size_t>(num_procs));
-  last_activity_.resize(static_cast<std::size_t>(num_procs), 0.0);
+  reset();
 }
 
 void TraceRecorder::reset() {
+  const std::size_t n = open_.size();
   for (auto& stack : open_) stack.clear();
-  last_activity_.assign(open_.size(), 0.0);
+  shards_.assign(n, Shard{});
+  placements_.assign(n, PlacementRecord{});
+  totals_.assign(n, ProcTotals{});
+  last_activity_.assign(n, 0.0);
+  finish_ = 0.0;
   done_.clear();
   waits_.clear();
   messages_.clear();
   barriers_.clear();
   steals_.clear();
-  placements_.assign(open_.size(), PlacementRecord{});
-  totals_.assign(open_.size(), ProcTotals{});
-  finish_ = 0.0;
-  concurrent_ = false;
-  done_pp_.clear();
-  waits_pp_.clear();
-  msgs_pp_.clear();
-  recv_pp_.clear();
-  bnotes_pp_.clear();
-  steals_pp_.clear();
-}
-
-void TraceRecorder::set_concurrent(int num_procs_of_run) {
-  if (num_procs_of_run != num_procs()) {
-    throw std::invalid_argument("TraceRecorder::set_concurrent: processor count mismatch");
-  }
-  concurrent_ = true;
-  done_pp_.assign(open_.size(), {});
-  waits_pp_.assign(open_.size(), {});
-  msgs_pp_.assign(open_.size(), {});
-  recv_pp_.assign(open_.size(), {});
-  bnotes_pp_.assign(open_.size(), {});
-  steals_pp_.assign(open_.size(), {});
 }
 
 double TraceRecorder::now(int proc) const {
@@ -92,17 +74,14 @@ void TraceRecorder::end_span(int proc) {
   stack.pop_back();
   s.t1 = std::max(s.t0, now(proc));
   touch(proc, s.t1);
-  if (concurrent_) {
-    // No modeled charge() feeds add_busy on the threaded backend; real time
-    // passes continuously on a worker thread, so a span's compute is its
-    // elapsed time minus the waits recorded while it was open. Root spans
-    // also carry the per-processor busy total.
+  if (busy_ == Busy::Elapsed) {
+    // Real time passes continuously, so a span's compute is its elapsed
+    // time minus the waits recorded while it was open. Root spans also
+    // carry the per-processor busy total.
     s.busy = std::max(0.0, s.duration() - s.wait());
     if (s.depth == 0) totals_[static_cast<std::size_t>(proc)].busy += s.busy;
-    done_pp_[static_cast<std::size_t>(proc)].push_back(std::move(s));
-  } else {
-    done_.push_back(std::move(s));
   }
+  shards_[static_cast<std::size_t>(proc)].spans.push_back(std::move(s));
 }
 
 int TraceRecorder::open_depth(int proc) const {
@@ -119,15 +98,9 @@ void TraceRecorder::add_busy(int proc, double dt) {
   for (Span& s : open_[static_cast<std::size_t>(proc)]) s.busy += dt;
 }
 
-std::uint64_t TraceRecorder::message_sent(int src, int dst, std::uint64_t tag,
-                                          std::uint64_t bytes, double t0, double t1) {
+void TraceRecorder::message_sent(int src, int dst, std::uint64_t tag, std::uint64_t bytes,
+                                 double t0, double t1) {
   MessageRecord m;
-  m.id = concurrent_
-             ? ((static_cast<std::uint64_t>(src) + 1) << 40) |
-                   (static_cast<std::uint64_t>(
-                        msgs_pp_[static_cast<std::size_t>(src)].size()) +
-                    1)
-             : static_cast<std::uint64_t>(messages_.size()) + 1;
   m.src = src;
   m.dst = dst;
   m.tag = tag;
@@ -135,12 +108,7 @@ std::uint64_t TraceRecorder::message_sent(int src, int dst, std::uint64_t tag,
   m.send_t0 = t0;
   m.send_t1 = t1;
   touch(src, t1);
-  const std::uint64_t id = m.id;
-  if (concurrent_) {
-    msgs_pp_[static_cast<std::size_t>(src)].push_back(m);
-  } else {
-    messages_.push_back(m);
-  }
+  shards_[static_cast<std::size_t>(src)].sends.push_back(m);
   ProcTotals& t = totals_[static_cast<std::size_t>(src)];
   t.messages += 1;
   t.bytes += bytes;
@@ -148,70 +116,29 @@ std::uint64_t TraceRecorder::message_sent(int src, int dst, std::uint64_t tag,
     s.messages += 1;
     s.bytes += bytes;
   }
-  return id;
 }
 
-void TraceRecorder::message_received(std::uint64_t id, double wait_t0, double ready_t) {
-  if (id == 0 || id > messages_.size()) {
-    throw std::out_of_range("TraceRecorder::message_received: unknown message id");
-  }
-  MessageRecord& m = messages_[static_cast<std::size_t>(id - 1)];
-  m.recv_t = ready_t;
-  if (ready_t > wait_t0) {
-    add_wait(m.dst, WaitKind::Recv, wait_t0, ready_t, m.src, m.send_t1, id);
-  }
-}
-
-void TraceRecorder::message_received_at(std::uint64_t id, int dst, int src, double send_t,
-                                        double wait_t0, double ready_t) {
-  if (!concurrent_) {
-    throw std::logic_error("TraceRecorder::message_received_at: not in concurrent mode");
-  }
-  // The MessageRecord lives in the *sender's* shard; note the consumption
-  // here and let merge_concurrent() stamp recv_t.
-  recv_pp_[static_cast<std::size_t>(dst)].push_back(RecvNote{id, ready_t});
+void TraceRecorder::message_received(int dst, int src, std::uint64_t tag, double wait_t0,
+                                     double ready_t) {
+  RecvNote n{src, tag, ready_t, -1};
   touch(dst, ready_t);
-  if (ready_t > wait_t0) {
-    add_wait(dst, WaitKind::Recv, wait_t0, ready_t, src, send_t, id);
-  }
+  if (ready_t > wait_t0) n.wait = add_wait(dst, WaitKind::Recv, wait_t0, ready_t, src, wait_t0);
+  shards_[static_cast<std::size_t>(dst)].recvs.push_back(n);
 }
 
-std::uint64_t TraceRecorder::barrier_open(std::uint64_t group_key) {
-  BarrierRecord b;
-  b.id = static_cast<std::uint64_t>(barriers_.size()) + 1;
-  b.group_key = group_key;
-  barriers_.push_back(std::move(b));
-  return barriers_.back().id;
-}
-
-void TraceRecorder::barrier_arrive(std::uint64_t id, int proc, double t) {
-  if (id == 0 || id > barriers_.size()) {
-    throw std::out_of_range("TraceRecorder::barrier_arrive: unknown barrier id");
+void TraceRecorder::barrier_note(int proc, std::uint64_t group_key, double arrive_t,
+                                 double release_t, std::uint64_t arrival_seq) {
+  BarrierNote n{group_key, arrival_seq, arrive_t, release_t, -1};
+  touch(proc, release_t);
+  if (release_t > arrive_t) {
+    n.wait = add_wait(proc, WaitKind::Barrier, arrive_t, release_t, proc, arrive_t);
   }
-  BarrierRecord& b = barriers_[static_cast<std::size_t>(id - 1)];
-  b.procs.push_back(proc);
-  b.arrivals.push_back(t);
-}
-
-void TraceRecorder::barrier_release(std::uint64_t id, int last_arriver, double max_arrival,
-                                    double release) {
-  if (id == 0 || id > barriers_.size()) {
-    throw std::out_of_range("TraceRecorder::barrier_release: unknown barrier id");
-  }
-  BarrierRecord& b = barriers_[static_cast<std::size_t>(id - 1)];
-  b.release = release;
-  b.last_arriver = last_arriver;
-  for (std::size_t i = 0; i < b.procs.size(); ++i) {
-    if (release > b.arrivals[i]) {
-      add_wait(b.procs[i], WaitKind::Barrier, b.arrivals[i], release, last_arriver,
-               max_arrival, id);
-    }
-  }
+  shards_[static_cast<std::size_t>(proc)].barriers.push_back(n);
 }
 
 void TraceRecorder::io_wait(int proc, double t0, double t1, int cause_proc,
                             double cause_time) {
-  if (t1 > t0) add_wait(proc, WaitKind::Io, t0, t1, cause_proc, cause_time, 0);
+  if (t1 > t0) add_wait(proc, WaitKind::Io, t0, t1, cause_proc, cause_time);
 }
 
 void TraceRecorder::steal_event(int thief, int victim, std::uint64_t iters, double t) {
@@ -219,14 +146,8 @@ void TraceRecorder::steal_event(int thief, int victim, std::uint64_t iters, doub
     throw std::out_of_range("TraceRecorder::steal_event: bad thief rank");
   }
   touch(thief, t);
-  StealRecord r{thief, victim, iters, t};
-  if (concurrent_) {
-    steals_pp_[static_cast<std::size_t>(thief)].push_back(r);
-  } else {
-    steals_.push_back(r);
-  }
-  // Attribute the steal to the thief's open directive nest. Safe in
-  // concurrent mode: only the thief's own worker touches its stack.
+  shards_[static_cast<std::size_t>(thief)].steals.push_back(StealRecord{thief, victim, iters, t});
+  // Attribute the steal to the thief's open directive nest.
   for (Span& s : open_[static_cast<std::size_t>(thief)]) {
     s.steals += 1;
     s.stolen_iters += iters;
@@ -240,102 +161,6 @@ void TraceRecorder::plan_cache_event(int proc, bool hit) {
   for (Span& s : open_[static_cast<std::size_t>(proc)]) {
     (hit ? s.plan_hits : s.plan_misses) += 1;
   }
-}
-
-void TraceRecorder::barrier_record(std::uint64_t group_key, std::uint64_t episode, int proc,
-                                   double arrive_t, double release_t, int last_arriver,
-                                   double max_arrival) {
-  if (!concurrent_) {
-    throw std::logic_error("TraceRecorder::barrier_record: not in concurrent mode");
-  }
-  bnotes_pp_[static_cast<std::size_t>(proc)].push_back(
-      BarrierNote{group_key, episode, proc, arrive_t, release_t, last_arriver});
-  touch(proc, release_t);
-  if (release_t > arrive_t) {
-    add_wait(proc, WaitKind::Barrier, arrive_t, release_t, last_arriver, max_arrival, 0);
-  }
-}
-
-void TraceRecorder::merge_concurrent() {
-  if (!concurrent_) return;
-  concurrent_ = false;  // back to single-threaded appends for finalize()
-
-  for (auto& shard : done_pp_) {
-    for (Span& s : shard) done_.push_back(std::move(s));
-  }
-  // Per-proc wait streams are each in time order; interleave by start time
-  // so the merged stream reads like the simulator's.
-  for (auto& shard : waits_pp_) {
-    waits_.insert(waits_.end(), shard.begin(), shard.end());
-  }
-  std::stable_sort(waits_.begin(), waits_.end(),
-                   [](const Wait& a, const Wait& b) { return a.t0 < b.t0; });
-
-  for (auto& shard : msgs_pp_) {
-    messages_.insert(messages_.end(), shard.begin(), shard.end());
-  }
-  std::stable_sort(messages_.begin(), messages_.end(),
-                   [](const MessageRecord& a, const MessageRecord& b) {
-                     if (a.send_t0 != b.send_t0) return a.send_t0 < b.send_t0;
-                     return a.id < b.id;
-                   });
-  std::unordered_map<std::uint64_t, std::size_t> by_id;
-  by_id.reserve(messages_.size());
-  for (std::size_t i = 0; i < messages_.size(); ++i) by_id.emplace(messages_[i].id, i);
-  for (const auto& shard : recv_pp_) {
-    for (const RecvNote& n : shard) {
-      auto it = by_id.find(n.id);
-      if (it != by_id.end()) messages_[it->second].recv_t = n.recv_t;
-    }
-  }
-
-  // Rebuild BarrierRecords from the members' episode notes.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<const BarrierNote*>> episodes;
-  for (const auto& shard : bnotes_pp_) {
-    for (const BarrierNote& n : shard) episodes[{n.group_key, n.episode}].push_back(&n);
-  }
-  std::vector<BarrierRecord> rebuilt;
-  rebuilt.reserve(episodes.size());
-  for (auto& [key, notes] : episodes) {
-    std::sort(notes.begin(), notes.end(), [](const BarrierNote* a, const BarrierNote* b) {
-      if (a->arrive_t != b->arrive_t) return a->arrive_t < b->arrive_t;
-      return a->proc < b->proc;
-    });
-    BarrierRecord b;
-    b.group_key = key.first;
-    for (const BarrierNote* n : notes) {
-      b.procs.push_back(n->proc);
-      b.arrivals.push_back(n->arrive_t);
-      b.release = std::max(b.release, n->release_t);
-      b.last_arriver = n->last_arriver;
-    }
-    rebuilt.push_back(std::move(b));
-  }
-  std::stable_sort(rebuilt.begin(), rebuilt.end(),
-                   [](const BarrierRecord& a, const BarrierRecord& b) {
-                     return a.release < b.release;
-                   });
-  for (BarrierRecord& b : rebuilt) {
-    b.id = static_cast<std::uint64_t>(barriers_.size()) + 1;
-    barriers_.push_back(std::move(b));
-  }
-
-  // Steal events merge like the wait streams: shards are each in time
-  // order, interleave by completion time.
-  for (auto& shard : steals_pp_) {
-    steals_.insert(steals_.end(), shard.begin(), shard.end());
-  }
-  std::stable_sort(steals_.begin(), steals_.end(), [](const StealRecord& a, const StealRecord& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.thief < b.thief;
-  });
-
-  done_pp_.clear();
-  waits_pp_.clear();
-  msgs_pp_.clear();
-  recv_pp_.clear();
-  bnotes_pp_.clear();
-  steals_pp_.clear();
 }
 
 namespace {
@@ -405,17 +230,15 @@ std::vector<T> get_pod_vec(const std::byte* p, std::size_t len, std::size_t& off
 }  // namespace
 
 std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
-  if (!concurrent_) {
-    throw std::logic_error("TraceRecorder::serialize_shard: not in concurrent mode");
-  }
   if (proc < 0 || proc >= num_procs()) {
     throw std::out_of_range("TraceRecorder::serialize_shard: bad proc");
   }
   const auto i = static_cast<std::size_t>(proc);
+  const Shard& sh = shards_[i];
   std::vector<std::byte> out;
   put<std::int32_t>(out, proc);
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(done_pp_[i].size()));
-  for (const Span& s : done_pp_[i]) {
+  put<std::uint64_t>(out, static_cast<std::uint64_t>(sh.spans.size()));
+  for (const Span& s : sh.spans) {
     put<std::int32_t>(out, s.proc);
     put<std::int32_t>(out, s.depth);
     put(out, s.t0);
@@ -433,11 +256,11 @@ std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
     put(out, s.plan_hits);
     put(out, s.plan_misses);
   }
-  put_pod_vec(out, waits_pp_[i]);
-  put_pod_vec(out, msgs_pp_[i]);
-  put_pod_vec(out, recv_pp_[i]);
-  put_pod_vec(out, bnotes_pp_[i]);
-  put_pod_vec(out, steals_pp_[i]);
+  put_pod_vec(out, sh.waits);
+  put_pod_vec(out, sh.sends);
+  put_pod_vec(out, sh.recvs);
+  put_pod_vec(out, sh.barriers);
+  put_pod_vec(out, sh.steals);
   put(out, totals_[i]);
   put(out, placements_[i]);
   put(out, last_activity_[i]);
@@ -445,9 +268,6 @@ std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
 }
 
 void TraceRecorder::absorb_shard(const std::byte* data, std::size_t len) {
-  if (!concurrent_) {
-    throw std::logic_error("TraceRecorder::absorb_shard: not in concurrent mode");
-  }
   std::size_t off = 0;
   const auto proc = get<std::int32_t>(data, len, off);
   if (proc < 0 || proc >= num_procs()) {
@@ -455,8 +275,8 @@ void TraceRecorder::absorb_shard(const std::byte* data, std::size_t len) {
   }
   const auto i = static_cast<std::size_t>(proc);
   const auto n_spans = get<std::uint64_t>(data, len, off);
-  std::vector<Span> spans;
-  spans.reserve(static_cast<std::size_t>(n_spans));
+  Shard sh;
+  sh.spans.reserve(static_cast<std::size_t>(n_spans));
   for (std::uint64_t k = 0; k < n_spans; ++k) {
     Span s;
     s.proc = get<std::int32_t>(data, len, off);
@@ -475,21 +295,21 @@ void TraceRecorder::absorb_shard(const std::byte* data, std::size_t len) {
     s.stolen_iters = get<std::uint64_t>(data, len, off);
     s.plan_hits = get<std::uint64_t>(data, len, off);
     s.plan_misses = get<std::uint64_t>(data, len, off);
-    spans.push_back(std::move(s));
+    sh.spans.push_back(std::move(s));
   }
-  done_pp_[i] = std::move(spans);
-  waits_pp_[i] = get_pod_vec<Wait>(data, len, off);
-  msgs_pp_[i] = get_pod_vec<MessageRecord>(data, len, off);
-  recv_pp_[i] = get_pod_vec<RecvNote>(data, len, off);
-  bnotes_pp_[i] = get_pod_vec<BarrierNote>(data, len, off);
-  steals_pp_[i] = get_pod_vec<StealRecord>(data, len, off);
+  sh.waits = get_pod_vec<Wait>(data, len, off);
+  sh.sends = get_pod_vec<MessageRecord>(data, len, off);
+  sh.recvs = get_pod_vec<RecvNote>(data, len, off);
+  sh.barriers = get_pod_vec<BarrierNote>(data, len, off);
+  sh.steals = get_pod_vec<StealRecord>(data, len, off);
+  shards_[i] = std::move(sh);
   totals_[i] = get<ProcTotals>(data, len, off);
   placements_[i] = get<PlacementRecord>(data, len, off);
   last_activity_[i] = std::max(last_activity_[i], get<double>(data, len, off));
 }
 
-void TraceRecorder::add_wait(int proc, WaitKind kind, double t0, double t1, int cause_proc,
-                             double cause_time, std::uint64_t ref) {
+std::int64_t TraceRecorder::add_wait(int proc, WaitKind kind, double t0, double t1,
+                                     int cause_proc, double cause_time) {
   Wait w;
   w.proc = proc;
   w.kind = kind;
@@ -497,13 +317,9 @@ void TraceRecorder::add_wait(int proc, WaitKind kind, double t0, double t1, int 
   w.t1 = t1;
   w.cause_proc = cause_proc;
   w.cause_time = cause_time;
-  w.ref = ref;
   touch(proc, t1);
-  if (concurrent_) {
-    waits_pp_[static_cast<std::size_t>(proc)].push_back(w);
-  } else {
-    waits_.push_back(w);
-  }
+  auto& waits = shards_[static_cast<std::size_t>(proc)].waits;
+  waits.push_back(w);
   const double dt = t1 - t0;
   ProcTotals& t = totals_[static_cast<std::size_t>(proc)];
   auto bump = [&](Span* s) {
@@ -523,11 +339,103 @@ void TraceRecorder::add_wait(int proc, WaitKind kind, double t0, double t1, int 
   // Blocked processors cannot touch their span stack, so the stack now is
   // the stack that was open for the whole wait.
   for (Span& s : open_[static_cast<std::size_t>(proc)]) bump(&s);
+  return static_cast<std::int64_t>(waits.size()) - 1;
 }
 
 void TraceRecorder::touch(int proc, double t) {
   auto& last = last_activity_[static_cast<std::size_t>(proc)];
   last = std::max(last, t);
+}
+
+void TraceRecorder::merge_messages() {
+  // Ids are 1-based in (send start, sender) order. Every rank's clock is
+  // monotonic, so each sender keeps its program order here, and the k-th
+  // (src, dst, tag) record below is that sender's k-th such send.
+  for (const Shard& sh : shards_) {
+    messages_.insert(messages_.end(), sh.sends.begin(), sh.sends.end());
+  }
+  std::stable_sort(messages_.begin(), messages_.end(),
+                   [](const MessageRecord& a, const MessageRecord& b) {
+                     if (a.send_t0 != b.send_t0) return a.send_t0 < b.send_t0;
+                     return a.src < b.src;
+                   });
+  std::map<std::tuple<int, int, std::uint64_t>, std::deque<std::size_t>> fifo;
+  for (std::size_t i = 0; i < messages_.size(); ++i) {
+    MessageRecord& m = messages_[i];
+    m.id = i + 1;
+    fifo[{m.src, m.dst, m.tag}].push_back(i);
+  }
+  // A receive takes the oldest message of its (src, tag) key, exactly as
+  // MailStore matches on every backend.
+  for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
+    Shard& sh = shards_[dst];
+    for (const RecvNote& n : sh.recvs) {
+      auto it = fifo.find({n.src, static_cast<int>(dst), n.tag});
+      if (it == fifo.end() || it->second.empty()) continue;
+      MessageRecord& m = messages_[it->second.front()];
+      it->second.pop_front();
+      m.recv_t = n.recv_t;
+      if (n.wait >= 0) {
+        Wait& w = sh.waits[static_cast<std::size_t>(n.wait)];
+        w.cause_time = m.send_t1;
+        w.ref = m.id;
+      }
+    }
+  }
+}
+
+void TraceRecorder::merge_barriers() {
+  // Every member of a group takes part in every episode of it, so a
+  // member's k-th note on a group belongs to the group's k-th episode.
+  struct Member {
+    int proc;
+    BarrierNote* note;
+  };
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<Member>> episodes;
+  for (std::size_t p = 0; p < shards_.size(); ++p) {
+    std::map<std::uint64_t, std::uint64_t> seen;
+    for (BarrierNote& n : shards_[p].barriers) {
+      episodes[{n.group_key, ++seen[n.group_key]}].push_back(
+          Member{static_cast<int>(p), &n});
+    }
+  }
+  std::vector<std::pair<BarrierRecord, std::vector<Member>>> built;
+  built.reserve(episodes.size());
+  for (auto& [key, members] : episodes) {
+    // Arrival order, whose last entry is the release cause.
+    std::sort(members.begin(), members.end(), [](const Member& a, const Member& b) {
+      const BarrierNote& x = *a.note;
+      const BarrierNote& y = *b.note;
+      if (x.arrive_t != y.arrive_t) return x.arrive_t < y.arrive_t;
+      if (x.arrival_seq != y.arrival_seq) return x.arrival_seq < y.arrival_seq;
+      return a.proc < b.proc;
+    });
+    BarrierRecord b;
+    b.group_key = key.first;
+    for (const Member& m : members) {
+      b.procs.push_back(m.proc);
+      b.arrivals.push_back(m.note->arrive_t);
+      b.release = std::max(b.release, m.note->release_t);
+    }
+    b.last_arriver = members.back().proc;
+    built.emplace_back(std::move(b), std::move(members));
+  }
+  std::stable_sort(built.begin(), built.end(), [](const auto& a, const auto& b) {
+    return a.first.release < b.first.release;
+  });
+  for (auto& [b, members] : built) {
+    b.id = barriers_.size() + 1;
+    const double max_arrival = b.arrivals.back();
+    for (const Member& m : members) {
+      if (m.note->wait < 0) continue;
+      auto& waits = shards_[static_cast<std::size_t>(m.proc)].waits;
+      Wait& w = waits[static_cast<std::size_t>(m.note->wait)];
+      w.cause_proc = b.last_arriver;
+      w.cause_time = max_arrival;
+      w.ref = b.id;
+    }
+    barriers_.push_back(std::move(b));
+  }
 }
 
 void TraceRecorder::finalize(double finish) {
@@ -538,15 +446,31 @@ void TraceRecorder::finalize(double finish) {
       Span s = std::move(stack.back());
       stack.pop_back();
       s.t1 = std::max(s.t0, finish);
-      done_.push_back(std::move(s));
+      shards_[static_cast<std::size_t>(p)].spans.push_back(std::move(s));
     }
   }
-  // Deterministic order for exporters: by processor, then open time, then
-  // deeper-first so parents precede children only via (t0, depth).
+  merge_messages();
+  merge_barriers();  // patches wait causes, so before the waits merge
+  for (Shard& sh : shards_) {
+    std::move(sh.spans.begin(), sh.spans.end(), std::back_inserter(done_));
+    waits_.insert(waits_.end(), sh.waits.begin(), sh.waits.end());
+    steals_.insert(steals_.end(), sh.steals.begin(), sh.steals.end());
+  }
+  shards_.assign(shards_.size(), Shard{});
+  // Deterministic order for exporters: spans by processor, then open time,
+  // then deeper-first so parents precede children only via (t0, depth);
+  // waits by start and steals by completion, interleaving the per-rank
+  // streams (each already in time order).
   std::stable_sort(done_.begin(), done_.end(), [](const Span& a, const Span& b) {
     if (a.proc != b.proc) return a.proc < b.proc;
     if (a.t0 != b.t0) return a.t0 < b.t0;
     return a.depth < b.depth;
+  });
+  std::stable_sort(waits_.begin(), waits_.end(),
+                   [](const Wait& a, const Wait& b) { return a.t0 < b.t0; });
+  std::stable_sort(steals_.begin(), steals_.end(), [](const StealRecord& a, const StealRecord& b) {
+    if (a.t != b.t) return a.t < b.t;
+    return a.thief < b.thief;
   });
 }
 

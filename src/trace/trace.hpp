@@ -1,18 +1,26 @@
-// fxpar trace: structured, sim-timestamped event recording for simulated
-// runs.
+// fxpar trace: structured, timestamped event recording for every backend.
 //
 // The TraceRecorder is the substrate of the observability stack: every
-// layer of the runtime reports what it is doing in modeled time — the
-// Simulator charges busy intervals, the Machine records message, barrier
-// and I/O waits (each with the happens-before edge that ended it), and the
-// directive layer (TASK_REGION / ON / parallel loops / redistribution /
+// layer of the runtime reports what it is doing — the Simulator charges
+// busy intervals, the backends record message, barrier and I/O waits, and
+// the directive layer (TASK_REGION / ON / parallel loops / redistribution /
 // collectives) opens named scoped spans so all of it is attributed to the
 // directive nest that caused it. Consumers are chrome_export.hpp (Perfetto
 // timelines), phase_report.hpp (per-span busy/wait/comm aggregates) and
 // critical_path.hpp (longest happens-before chain).
 //
+// One recording path serves all three backends. Every hook appends to the
+// calling rank's own shard and touches no other rank's state, so fibers
+// (sim), worker threads (threads) and forked processes (proc, which ship
+// their shard to rank 0) record without locks. Nothing the hooks need
+// travels inside messages or barriers: finalize() merges the shards once
+// after the run and derives every cross-rank fact there — it pairs the k-th
+// (src, dst, tag) send with the k-th (src, tag) receive at dst (the
+// backends' per-(source, tag) FIFO matching), and finds each barrier
+// episode's last arriver from its members' own arrival notes.
+//
 // Recording never changes modeled time: the recorder only observes the
-// virtual clocks through a clock callback. When tracing is disabled
+// clocks through a clock callback. When tracing is disabled
 // (MachineConfig::trace == false) no recorder exists and every hook is a
 // single null-pointer test.
 //
@@ -75,7 +83,7 @@ struct Wait {
 
 /// One point-to-point message (direct deposit).
 struct MessageRecord {
-  std::uint64_t id = 0;  ///< 1-based
+  std::uint64_t id = 0;  ///< 1-based, in (send_t0, src) order
   int src = -1;
   int dst = -1;
   std::uint64_t tag = 0;
@@ -87,7 +95,7 @@ struct MessageRecord {
 
 /// One subset barrier instance.
 struct BarrierRecord {
-  std::uint64_t id = 0;  ///< 1-based
+  std::uint64_t id = 0;  ///< 1-based, in release order
   std::uint64_t group_key = 0;
   std::vector<int> procs;        ///< arrival order
   std::vector<double> arrivals;  ///< parallel to `procs`
@@ -127,17 +135,23 @@ struct ProcTotals {
 
 class TraceRecorder {
  public:
-  /// `clock(rank)` must return the current modeled time of `rank`; the
-  /// recorder never advances any clock.
+  /// `clock(rank)` must return the current time of `rank`; the recorder
+  /// never advances any clock.
   using Clock = std::function<double(int)>;
 
-  explicit TraceRecorder(int num_procs);
+  /// Where a span's busy time comes from. `Charged`: the simulator reports
+  /// modeled compute through add_busy(). `Elapsed`: the real-time backends
+  /// charge nothing, so a span's busy is stamped at close as its elapsed
+  /// time minus the waits recorded while it was open.
+  enum class Busy : std::uint8_t { Charged, Elapsed };
+
+  explicit TraceRecorder(int num_procs, Busy busy = Busy::Charged);
 
   int num_procs() const noexcept { return static_cast<int>(open_.size()); }
   void set_clock(Clock clock) { clock_ = std::move(clock); }
 
-  /// Drops all recorded state (spans, waits, messages, barriers, totals);
-  /// keeps the clock. Called at the start of every Machine::run.
+  /// Drops all recorded state (shards, merged records, totals); keeps the
+  /// clock. Called at the start of every Machine::run.
   void reset();
 
   // ---- spans ----
@@ -146,28 +160,34 @@ class TraceRecorder {
   void end_span(int proc);
   int open_depth(int proc) const;
 
-  // ---- accounting hooks (the Simulator / Machine call these) ----
+  // ---- recording hooks ----
+  //
+  // Each hook touches only the named rank's shard, span stack and totals;
+  // call it only from that rank's fiber, thread or process.
 
   /// Modeled compute charged to `proc` (Simulator::advance).
   void add_busy(int proc, double dt);
 
   /// Deposit of `bytes` from `src` to `dst`; [t0, t1] is the sender-side
-  /// send interval. Returns the message id to stash with the message.
-  std::uint64_t message_sent(int src, int dst, std::uint64_t tag, std::uint64_t bytes,
-                             double t0, double t1);
+  /// send interval.
+  void message_sent(int src, int dst, std::uint64_t tag, std::uint64_t bytes, double t0,
+                    double t1);
 
-  /// Message `id` consumed by its receiver: the receiver entered the
-  /// receive at `wait_t0` and the payload was available at `ready_t`.
-  void message_received(std::uint64_t id, double wait_t0, double ready_t);
+  /// `dst` consumed the oldest (src, tag) message: it entered the receive
+  /// at `wait_t0` and the payload was available at `ready_t`. The recv wait
+  /// is accounted now; its cause (the matched send) is filled in at merge.
+  void message_received(int dst, int src, std::uint64_t tag, double wait_t0, double ready_t);
 
-  /// New barrier instance over the group hashed by `group_key`.
-  std::uint64_t barrier_open(std::uint64_t group_key);
-  void barrier_arrive(std::uint64_t id, int proc, double t);
-
-  /// All members arrived; everyone is released at `release`. Emits one
-  /// BarrierWait interval per member.
-  void barrier_release(std::uint64_t id, int last_arriver, double max_arrival,
-                       double release);
+  /// `proc`'s view of its next barrier episode over the group hashed by
+  /// `group_key`: it arrived at `arrive_t` and was released at
+  /// `release_t`. The barrier wait is accounted now; its cause (the
+  /// episode's last arriver) is filled in at merge. `arrival_seq` orders
+  /// arrivals that share a timestamp: the simulator passes its service
+  /// counter, so the latest-executing fiber among tied modeled arrivals is
+  /// the last arriver; real-time stamps leave it 0 and ties go to the
+  /// highest rank.
+  void barrier_note(int proc, std::uint64_t group_key, double arrive_t, double release_t,
+                    std::uint64_t arrival_seq = 0);
 
   /// `proc` was stalled on the sequential I/O device over [t0, t1]; if it
   /// queued behind another operation, `cause_proc`/`cause_time` name the
@@ -175,85 +195,42 @@ class TraceRecorder {
   void io_wait(int proc, double t0, double t1, int cause_proc, double cause_time);
 
   /// `thief` completed a stolen chunk of `iters` iterations owned by
-  /// `victim` at time `t`. In concurrent mode the record lands in the
-  /// thief's shard (call only from the thief's worker) and is merged by
-  /// time like the other streams. Also bumps the steal counters of the
-  /// thief's open spans, so phase reports can localize stealing.
+  /// `victim` at time `t`. Also bumps the steal counters of the thief's
+  /// open spans, so phase reports can localize stealing.
   void steal_event(int thief, int victim, std::uint64_t iters, double t);
 
   /// Redistribution plan-cache hit (or miss) observed by `proc`: bumps the
-  /// counters of `proc`'s open spans. Safe in concurrent mode — each
-  /// worker only touches its own rank's span stack. Call only from the
-  /// observing rank's worker.
+  /// counters of `proc`'s open spans.
   void plan_cache_event(int proc, bool hit);
 
   /// Worker `proc` was pinned to host CPU `cpu` on NUMA node `node` for
-  /// this run (threaded backend, pinning active). Each rank writes only
-  /// its own slot, so this is safe from worker threads without locks.
+  /// this run (threaded backend, pinning active).
   void set_worker_placement(int proc, int cpu, int node) {
     auto& pl = placements_[static_cast<std::size_t>(proc)];
     pl.cpu = cpu;
     pl.node = node;
   }
 
-  // ---- concurrent recording (threaded backend) ----
-  //
-  // The hooks above assume one OS thread: they append to shared vectors.
-  // The threaded backend instead calls set_concurrent() at the start of a
-  // run, which re-routes every append into a per-worker shard — each hook
-  // then touches only the calling rank's buffers, so worker threads record
-  // without locks — and merge_concurrent() after the join, which folds the
-  // shards back into the shared vectors in a deterministic order. The two
-  // concurrent-only hooks below carry the cause data (sender, send time,
-  // barrier episode) that the single-threaded hooks look up in shared
-  // records instead. Nothing calls add_busy in concurrent mode (there is no
-  // modeled charge()); end_span instead stamps each span's busy as its real
-  // elapsed time minus the waits recorded while it was open.
-
-  /// Enters concurrent mode and clears the per-worker shards.
-  /// `num_procs` must match the recorder's processor count.
-  void set_concurrent(int num_procs);
-
-  /// Message `id` consumed by rank `dst`: it was sent by `src` at `send_t`,
-  /// the receiver entered the receive at `wait_t0` and the payload was
-  /// available at `ready_t`. Concurrent-mode counterpart of
-  /// message_received(); call only from rank `dst`'s worker.
-  void message_received_at(std::uint64_t id, int dst, int src, double send_t,
-                           double wait_t0, double ready_t);
-
-  /// One member's view of one barrier episode, reported after its release.
-  /// Records of the same (group_key, episode) merge into one
-  /// BarrierRecord; `last_arriver`/`max_arrival` are the values the
-  /// episode's root published. Call only from rank `proc`'s worker.
-  void barrier_record(std::uint64_t group_key, std::uint64_t episode, int proc,
-                      double arrive_t, double release_t, int last_arriver,
-                      double max_arrival);
-
-  /// Folds the per-worker shards into the shared vectors and leaves
-  /// concurrent mode. Call after every worker has joined.
-  void merge_concurrent();
-
   // ---- cross-process shard shipping (proc backend) ----
   //
-  // A forked child records into its copy-on-write shards exactly as a
-  // worker thread would; at body end it serializes its rank's shard state
-  // (the six shard vectors plus its per-proc totals, placement and
-  // last-activity stamp) and ships the bytes to the parent, which absorbs
-  // them before merge_concurrent(). Absorbing *assigns* the rank's shards
-  // — correct because in a proc run only the owning process records for
-  // that rank — so both calls are legal only in concurrent mode.
+  // A forked child records into its copy-on-write shard like any rank; at
+  // body end it serializes its rank's state (the shard plus its per-proc
+  // totals, placement and last-activity stamp) and ships the bytes to the
+  // parent, which absorbs them before finalize(). Absorbing *assigns* the
+  // rank's state — correct because only the owning process records for it.
 
-  /// Serializes rank `proc`'s concurrent-mode shard state.
+  /// Serializes rank `proc`'s recorded state.
   std::vector<std::byte> serialize_shard(int proc) const;
-  /// Installs a shard blob produced by serialize_shard() in a (forked)
-  /// copy of this recorder; the rank is read from the blob.
+  /// Installs a blob produced by serialize_shard() in a (forked) copy of
+  /// this recorder; the rank is read from the blob.
   void absorb_shard(const std::byte* data, std::size_t len);
 
-  /// Closes any still-open spans at `finish` and freezes the run's
-  /// completion time.
+  /// Closes any still-open spans at `finish`, freezes the run's completion
+  /// time and merges every rank's shard into the records below. Call once
+  /// per run, after every rank has finished.
   void finalize(double finish);
 
-  // ---- recorded data (for exporters and analyzers) ----
+  // ---- merged records (for exporters and analyzers; valid after finalize) ----
 
   const std::vector<Span>& spans() const noexcept { return done_; }
   const std::vector<Wait>& waits() const noexcept { return waits_; }
@@ -272,46 +249,55 @@ class TraceRecorder {
   }
 
  private:
-  struct RecvNote {  ///< receiver-side consumption of a sender-shard message
-    std::uint64_t id = 0;
+  /// One consumed message, noted by its receiver; `wait` indexes the
+  /// receiver's recv wait in its shard (-1 when it did not wait).
+  struct RecvNote {
+    int src = -1;
+    std::uint64_t tag = 0;
     double recv_t = 0.0;
+    std::int64_t wait = -1;
   };
-  struct BarrierNote {  ///< one member's view of one barrier episode
+  /// One member's view of one barrier episode; `wait` as in RecvNote.
+  struct BarrierNote {
     std::uint64_t group_key = 0;
-    std::uint64_t episode = 0;
-    int proc = -1;
+    std::uint64_t arrival_seq = 0;
     double arrive_t = 0.0;
     double release_t = 0.0;
-    int last_arriver = -1;
+    std::int64_t wait = -1;
+  };
+  /// Everything one rank records, in its own program order.
+  struct Shard {
+    std::vector<Span> spans;
+    std::vector<Wait> waits;
+    std::vector<MessageRecord> sends;
+    std::vector<RecvNote> recvs;
+    std::vector<BarrierNote> barriers;
+    std::vector<StealRecord> steals;
   };
 
   double now(int proc) const;
-  void add_wait(int proc, WaitKind kind, double t0, double t1, int cause_proc,
-                double cause_time, std::uint64_t ref);
+  /// Accounts one wait to `proc` and its open spans; returns its index in
+  /// the rank's shard.
+  std::int64_t add_wait(int proc, WaitKind kind, double t0, double t1, int cause_proc,
+                        double cause_time);
   void touch(int proc, double t);
+  void merge_messages();
+  void merge_barriers();
 
   Clock clock_;
+  Busy busy_;
   std::vector<std::vector<Span>> open_;  ///< per-proc stack of open spans
-  std::vector<Span> done_;
-  std::vector<Wait> waits_;
-  std::vector<MessageRecord> messages_;
-  std::vector<BarrierRecord> barriers_;
-  std::vector<StealRecord> steals_;
+  std::vector<Shard> shards_;            ///< per-proc, cleared by finalize()
   std::vector<PlacementRecord> placements_;  ///< per-proc; each rank writes its own slot
   std::vector<ProcTotals> totals_;
   std::vector<double> last_activity_;  ///< per-proc time of the last event
   double finish_ = 0.0;
 
-  // Concurrent-mode shards, indexed by the recording rank. Message ids in
-  // concurrent mode are composite — ((src+1) << 40) | local index — so a
-  // sender can mint them without coordination.
-  bool concurrent_ = false;
-  std::vector<std::vector<Span>> done_pp_;
-  std::vector<std::vector<Wait>> waits_pp_;
-  std::vector<std::vector<MessageRecord>> msgs_pp_;
-  std::vector<std::vector<RecvNote>> recv_pp_;
-  std::vector<std::vector<BarrierNote>> bnotes_pp_;
-  std::vector<std::vector<StealRecord>> steals_pp_;
+  std::vector<Span> done_;
+  std::vector<Wait> waits_;
+  std::vector<MessageRecord> messages_;
+  std::vector<BarrierRecord> barriers_;
+  std::vector<StealRecord> steals_;
 };
 
 /// RAII closer for a span opened through Context::span(). Inert when

@@ -30,6 +30,7 @@
 #include "core/parallel_loop.hpp"
 #include "dist/redistribute.hpp"
 #include "exec/rank_core.hpp"
+#include "fifo_pairing.hpp"
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
 #include "machine/report.hpp"
@@ -471,6 +472,17 @@ TEST(ExecThreads, TraceRecordsMergeAfterConcurrentRun) {
   // The analyzers must accept the merged trace.
   EXPECT_FALSE(fxpar::trace::phase_report(*res.trace).to_string().empty());
   EXPECT_FALSE(fxpar::trace::critical_path(*res.trace).to_string().empty());
+}
+
+// No message carries trace state: the merge pairs each receive with its
+// send by per-(source, tag) FIFO order alone.
+TEST(ExecThreads, TraceMergePairsMessagesInFifoOrder) {
+  auto cfg = threaded(4);
+  cfg.trace = true;
+  mx::Machine m(cfg);
+  const auto res = m.run(fxtest::fifo_pairing_program);
+  ASSERT_NE(res.trace, nullptr);
+  fxtest::expect_fifo_pairing(*res.trace);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 
 #include "apps/ffthist.hpp"
 #include "apps/stream_pipeline.hpp"
+#include "fifo_pairing.hpp"
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
 
@@ -224,6 +225,24 @@ TEST(ExecProc, SendToFinishedRankCompletes) {
     EXPECT_EQ(got.messages, want.messages) << name(t);
     EXPECT_EQ(got.bytes, want.bytes) << name(t);
     ring_round(m, 0, name(t));  // and the transport is clean afterwards
+  }
+}
+
+// No Data frame carries trace state: the trace merge pairs each receive
+// with its send by FIFO order alone, on both transports. One message is
+// empty, and one is never received.
+TEST(ExecProc, TraceMergePairsMessagesInFifoOrder) {
+  FXPAR_SKIP_PROC_UNDER_TSAN();
+  const HangGuard guard(120);
+  for (const auto t : kTransports) {
+    SCOPED_TRACE(name(t));
+    auto cfg = processes(t);
+    cfg.trace = true;
+    mx::Machine m(cfg);
+    mx::RunResult res;
+    ASSERT_NO_THROW(res = m.run(fxtest::fifo_pairing_program));
+    ASSERT_NE(res.trace, nullptr);
+    fxtest::expect_fifo_pairing(*res.trace);
   }
 }
 

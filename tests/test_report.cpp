@@ -117,7 +117,7 @@ TEST(Report, ReportsAgreeWithALiveRun) {
 
 TEST(Report, AnalyzersWorkOnMergedThreadedTraceWithStealing) {
   // A traced threaded run produces its spans/waits/steals through the
-  // per-worker shards and merge_concurrent(); the analyzers must see one
+  // per-worker shards and the merge in finalize(); the analyzers must see one
   // coherent run. The loop is heavily imbalanced (all work in rank 0's
   // static block) so with stealing on, steals are all but certain — but
   // scheduling is not deterministic, so steal assertions are conditional.

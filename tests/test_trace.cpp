@@ -8,7 +8,10 @@
 #include <limits>
 #include <string>
 
+#include "apps/ffthist.hpp"
+#include "apps/stream_pipeline.hpp"
 #include "core/fx.hpp"
+#include "fifo_pairing.hpp"
 #include "json_checker.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/critical_path.hpp"
@@ -160,6 +163,15 @@ TEST(Trace, MachineRunRecordsMessageEdges) {
   EXPECT_DOUBLE_EQ(rec.proc_totals()[1].recv_wait, 13.0);
 }
 
+TEST(Trace, MergePairsMessagesInFifoOrder) {
+  auto cfg = mx::MachineConfig::paragon(4);
+  cfg.trace = true;
+  mx::Machine m(cfg);
+  const mx::RunResult res = m.run(fxtest::fifo_pairing_program);
+  ASSERT_NE(res.trace, nullptr);
+  fxtest::expect_fifo_pairing(*res.trace);
+}
+
 TEST(Trace, BarrierRecordsModeledLastArriver) {
   mx::Machine m(test_config(3));
   const mx::RunResult res = m.run([](mx::Context& ctx) {
@@ -181,6 +193,40 @@ TEST(Trace, BarrierRecordsModeledLastArriver) {
     EXPECT_DOUBLE_EQ(w.t1, b.release);
     EXPECT_DOUBLE_EQ(w.t0, w.proc == 1 ? 9.0 : 1.0);
   }
+}
+
+TEST(Trace, BarrierTieGoesToTheFiberThatRanLast) {
+  // Every proc arrives at modeled time 5, but proc 2 blocks on a receive
+  // from proc 3 and so runs its barrier call after proc 3. Among equal
+  // modeled arrivals the simulator names the fiber that executed last.
+  auto cfg = test_config(4);
+  cfg.send_overhead = 0.0;
+  cfg.recv_overhead = 0.0;
+  cfg.latency = 0.0;
+  cfg.byte_time = 0.0;
+  mx::Machine m(cfg);
+  const mx::RunResult res = m.run([](mx::Context& ctx) {
+    const int r = ctx.phys_rank();
+    if (r == 2) {
+      (void)ctx.recv_phys(3, 1);
+    } else {
+      ctx.charge(5.0);
+    }
+    if (r == 3) ctx.send_phys(2, 1, mx::Payload());
+    ctx.barrier(ctx.group());
+  });
+  const tr::TraceRecorder& rec = *res.trace;
+  ASSERT_EQ(rec.barriers().size(), 1u);
+  EXPECT_EQ(rec.barriers()[0].last_arriver, 2);
+  int barrier_waits = 0;
+  for (const tr::Wait& w : rec.waits()) {
+    if (w.kind != tr::WaitKind::Barrier) continue;
+    ++barrier_waits;
+    EXPECT_EQ(w.cause_proc, 2);
+    EXPECT_DOUBLE_EQ(w.cause_time, 5.0);
+    EXPECT_EQ(w.ref, rec.barriers()[0].id);
+  }
+  EXPECT_EQ(barrier_waits, 4);
 }
 
 TEST(Trace, ChromeExportIsValidJson) {
@@ -251,8 +297,8 @@ TEST(Trace, CriticalPathOnHandBuiltTwoProcLog) {
   rec.begin_span(1, "consume", "test");
   rec.add_busy(0, 1.1);
   clock[0] = 1.1;
-  const std::uint64_t id = rec.message_sent(0, 1, 42, 64, 1.0, 1.1);
-  rec.message_received(id, 0.0, 1.2);
+  rec.message_sent(0, 1, 42, 64, 1.0, 1.1);
+  rec.message_received(1, 0, 42, 0.0, 1.2);
   clock[1] = 1.2;
   rec.add_busy(1, 1.0);
   clock[1] = 2.2;
@@ -308,6 +354,60 @@ TEST(Trace, CriticalPathCrossesTaskRegions) {
   }
   EXPECT_NEAR(slow_on_path, 4.0, 1e-9);
   EXPECT_DOUBLE_EQ(fast_on_path, 0.0);
+}
+
+TEST(Trace, SimFftHistReportsArePinned) {
+  // A traced hybrid FFT-Hist pipeline on sim (two replicated FFT modules
+  // feeding one hist module), with both reports pinned word for word: any
+  // change in how the merge orders, pairs or attributes records shows here.
+  fxpar::apps::FftHistConfig fcfg;
+  fcfg.n = 32;
+  fcfg.bins = 16;
+  fcfg.num_sets = 4;
+  auto cfg = mx::MachineConfig::paragon(10);
+  cfg.trace = true;
+  const auto stats = fxpar::apps::run_stream_pipeline<fxpar::apps::Complex>(
+      cfg, fxpar::apps::ffthist_stages(fcfg), {{0, 1, 4, 2}, {2, 2, 2, 1}}, fcfg.num_sets);
+  ASSERT_NE(stats.machine_result.trace, nullptr);
+  const tr::TraceRecorder& rec = *stats.machine_result.trace;
+  EXPECT_EQ(tr::phase_report(rec).to_string(), R"(phase report: makespan 0.0294 s on 10 procs; attributed to named spans: 100%
+  machine activity: busy 0.1541 s, recv wait 0.0143 s, barrier wait 0.0689 s, io wait 0.0000 s (proc-seconds)
+  phase                          inst     time(s)   busy%  recvw%  barrw%    iow%      bytes
+  region:stream                    10      0.2373   64.9%    6.0%   29.1%    0.0%     115712
+  assign:hist.in                   24      0.0907   20.7%    7.7%   71.6%    0.0%      65536
+  on:m0.i0                          8      0.0612   96.2%    0.5%    3.3%    0.0%      24576
+  on:m0.i1                          8      0.0612   96.2%    0.5%    3.3%    0.0%      24576
+  assign:rffts.in                  16      0.0479   90.4%    1.3%    8.3%    0.0%      49152
+  cffts                            16      0.0396  100.0%    0.0%    0.0%    0.0%          0
+  rffts                            16      0.0350  100.0%    0.0%    0.0%    0.0%          0
+  hist                              8      0.0241   72.2%   27.8%    0.0%    0.0%       1024
+  on:m1.i0                          8      0.0241   72.2%   27.8%    0.0%    0.0%       1024
+  broadcast                         8      0.0077   42.1%   57.9%    0.0%    0.0%        512
+  reduce_vector                     8      0.0055   59.3%   40.7%    0.0%    0.0%        512
+  setup                            10      0.0000    0.0%    0.0%    0.0%    0.0%          0
+  (inclusive: nested spans also count toward their parents)
+  phase                         steals stolen_iters  plan_hit plan_miss
+  region:stream                      0            0        67         5
+  on:m0.i0                           0            0         7         1
+  on:m0.i1                           0            0         7         1
+  hist                               0            0        15         1
+  on:m1.i0                           0            0        15         1
+  broadcast                          0            0         8         0
+  reduce_vector                      0            0         7         1
+)");
+  EXPECT_EQ(tr::critical_path(rec).to_string(), R"(critical path: makespan 0.0294 s = execute 0.0258 s (88%) + msg delay 0.0020 s (7%) + barrier delay 0.0016 s (6%) + io delay 0.0000 s (0%)
+  attributed to named spans: 100% of the path (54 steps)
+  span                            on-path(s)  execute(s)   delay(s)   slack(s)
+  assign:hist.in                      0.0085      0.0065     0.0020     0.0822
+  hist                                0.0055      0.0055     0.0000     0.0186
+  reduce_vector                       0.0039      0.0033     0.0006     0.0016
+  broadcast                           0.0038      0.0032     0.0006     0.0039
+  assign:rffts.in                     0.0031      0.0027     0.0004     0.0448
+  cffts                               0.0025      0.0025     0.0000     0.0371
+  rffts                               0.0022      0.0022     0.0000     0.0328
+  region:stream                       0.0000      0.0000     0.0000     0.2373
+  (slack: span time overlapped off the critical path)
+)");
 }
 
 TEST(Trace, IoWaitsAreSerializedAndAttributed) {
@@ -416,25 +516,24 @@ TEST(Trace, PhaseReportSurfacesStealAndPlanCacheCounters) {
 }
 
 TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
-  // Hand-built two-worker trace, recorded through the concurrent-mode
-  // shards exactly as the threaded backend does: rank 0 produces over
-  // [0, 1.0] and deposits a message; rank 1 blocks on the receive until
-  // 1.2, then consumes over [1.2, 2.2], completing one stolen chunk on the
-  // way. After merge_concurrent() the analyzers must see one coherent run.
-  tr::TraceRecorder rec(2);
+  // Hand-built two-worker trace, recorded with elapsed-time busy exactly as
+  // the threaded backend does: rank 0 produces over [0, 1.0] and deposits
+  // a message; rank 1 blocks on the receive until 1.2, then consumes over
+  // [1.2, 2.2], completing one stolen chunk on the way. After finalize()
+  // merges the shards the analyzers must see one coherent run.
+  tr::TraceRecorder rec(2, tr::TraceRecorder::Busy::Elapsed);
   double c[2] = {0.0, 0.0};
   rec.set_clock([&](int p) { return c[p]; });
-  rec.set_concurrent(2);
 
   rec.begin_span(0, "program", "root");
   rec.begin_span(0, "produce", "test");
-  const std::uint64_t id = rec.message_sent(0, 1, 7, 64, 0.9, 1.0);
+  rec.message_sent(0, 1, 7, 64, 0.9, 1.0);
   c[0] = 1.0;
   rec.end_span(0);
   rec.end_span(0);
 
   rec.begin_span(1, "program", "root");
-  rec.message_received_at(id, 1, 0, 1.0, 0.0, 1.2);
+  rec.message_received(1, 0, 7, 0.0, 1.2);
   c[1] = 1.2;
   rec.begin_span(1, "consume", "test");
   rec.steal_event(1, 0, 16, 1.7);
@@ -442,7 +541,6 @@ TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
   rec.end_span(1);
   rec.end_span(1);
 
-  rec.merge_concurrent();
   rec.finalize(2.2);
 
   // Merged streams: the sender-shard message carries the receiver's
