@@ -5,8 +5,8 @@
 // logical processors execute: the original Fx compiler targeted real
 // Paragon nodes, while this reproduction started from a deterministic
 // single-threaded fiber simulator. Backend is the seam between the two.
-// The Machine owns exactly one Backend and forwards every
-// processor-visible service to it:
+// The Machine owns exactly one Backend, and Context calls it directly for
+// every processor-visible service:
 //
 //   - launching the SPMD program body on every logical processor,
 //   - direct-deposit messaging (deposit / receive),
@@ -14,6 +14,10 @@
 //   - the sequential I/O device,
 //   - the per-processor clock (modeled time on the simulator, real
 //     elapsed time on the threaded engine).
+//
+// Each service reports itself once, with the timestamps it already takes,
+// through the backend's instrumentation probe (probe.hpp): one call feeds
+// the trace, the metrics and the flight recorder, whichever are on.
 //
 // Implementations:
 //   sim_backend.hpp      SimBackend       — the discrete-event fiber
@@ -45,21 +49,10 @@
 #include <utility>
 #include <vector>
 
+#include "exec/probe.hpp"
 #include "obs/introspect.hpp"
 #include "pgroup/group.hpp"
 #include "runtime/simulator.hpp"
-
-namespace fxpar::trace {
-class TraceRecorder;
-}
-
-namespace fxpar::metrics {
-struct RuntimeMetrics;
-}
-
-namespace fxpar::obs {
-class FlightRecorder;
-}
 
 namespace fxpar::exec {
 
@@ -170,23 +163,10 @@ class Backend {
   /// the first exception escaping any processor body.
   virtual void run(const std::function<void(int)>& body) = 0;
 
-  /// Installs (or clears) the trace recorder observing this backend.
-  virtual void set_tracer(trace::TraceRecorder* tracer) noexcept = 0;
-
-  /// Installs (or clears) the always-on metrics set. Backends update only
-  /// their own hot-path metrics (e.g. steals on the threaded engine,
-  /// modeled busy time on the simulator); the Machine layer covers the
-  /// backend-agnostic ones (messages, barriers, waits). Null — the
-  /// default — means metrics are disabled and hot paths pay one pointer
-  /// compare.
-  void set_metrics(metrics::RuntimeMetrics* m) noexcept { metrics_ = m; }
-  metrics::RuntimeMetrics* runtime_metrics() const noexcept { return metrics_; }
-
-  /// Installs (or clears) the always-on flight recorder. Like metrics,
-  /// null — the default — means the recorder is off and every hook site
-  /// pays one pointer compare.
-  void set_flight(obs::FlightRecorder* f) noexcept { flight_ = f; }
-  obs::FlightRecorder* flight() const noexcept { return flight_; }
+  /// Installs the instrumentation probe; each of its sinks may be null
+  /// (off). Every service hook reports through it.
+  void set_probe(const Probe& probe) noexcept { probe_ = probe; }
+  const Probe& probe() const noexcept { return probe_; }
 
   /// Live structured introspection: per-worker state (running / parked +
   /// block reason / finished), mailbox and loop-deque depths, placement,
@@ -211,7 +191,7 @@ class Backend {
   virtual std::uint64_t progress() const noexcept { return 0; }
 
   /// Clock of `rank`: modeled seconds (sim) or real seconds since the
-  /// current run() started (threads). Valid for the tracer's clock
+  /// current run() started (threads, proc). Valid for the tracer's clock
   /// callback as well as for Context::now().
   virtual double now(int rank) const = 0;
 
@@ -270,8 +250,7 @@ class Backend {
   virtual bool stealing_loops() const noexcept { return false; }
 
  protected:
-  metrics::RuntimeMetrics* metrics_ = nullptr;  ///< null = metrics disabled
-  obs::FlightRecorder* flight_ = nullptr;       ///< null = recorder disabled
+  Probe probe_;
 };
 
 }  // namespace fxpar::exec

@@ -24,11 +24,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "metrics/runtime_metrics.hpp"
 #include "net/shm_channel.hpp"
 #include "net/socket_channel.hpp"
-#include "obs/flight_recorder.hpp"
-#include "trace/trace.hpp"
 
 namespace fxpar::exec {
 
@@ -41,7 +38,7 @@ namespace fxpar::exec {
 // word (doubling as the transports' stop flag), one RankLive per rank (the
 // shared runtime core's live state and final stats, read by the monitor and
 // by introspection), subset-barrier state and the progress counter.
-// Variable-size state (payloads, trace shards, metric deltas) travels over
+// Variable-size state (payloads, a finishing child's residue) travels over
 // the net::Channel instead.
 
 namespace procdetail {
@@ -136,100 +133,6 @@ void futex_wake_all_u32(std::atomic<std::uint32_t>* addr) {
 #else
   (void)addr;
 #endif
-}
-
-// ---- tiny blob helpers (parent and children are the same binary image,
-// so raw little-endian native encoding is exact) ----
-
-void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-template <class T>
-void put(std::vector<std::byte>& out, const T& v) {
-  put_raw(out, &v, sizeof v);
-}
-
-void put_str(std::vector<std::byte>& out, const std::string& s) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  put_raw(out, s.data(), s.size());
-}
-
-template <class T>
-T get(const std::byte* p, std::size_t len, std::size_t& off) {
-  if (sizeof(T) > len - off) throw std::runtime_error("ProcBackend: truncated control frame");
-  T v;
-  std::memcpy(&v, p + off, sizeof v);
-  off += sizeof v;
-  return v;
-}
-
-std::string get_str(const std::byte* p, std::size_t len, std::size_t& off) {
-  const auto n = get<std::uint32_t>(p, len, off);
-  if (n > len - off) throw std::runtime_error("ProcBackend: truncated control frame");
-  std::string s(reinterpret_cast<const char*>(p) + off, n);
-  off += n;
-  return s;
-}
-
-/// Serializes `end - base` for every counter and histogram: what this child
-/// observed between fork and finish. Gauges are skipped by design — they
-/// are single-writer driver-side values, not per-rank accumulations.
-std::vector<std::byte> serialize_metrics_delta(const metrics::Snapshot& base,
-                                               const metrics::Snapshot& end) {
-  std::vector<std::byte> out;
-  std::uint32_t nc = 0;
-  std::vector<std::byte> body;
-  for (const auto& [name, v] : end.counters) {
-    const std::uint64_t d = v - base.counter(name);
-    if (d == 0) continue;
-    put_str(body, name);
-    put<std::uint64_t>(body, d);
-    ++nc;
-  }
-  std::uint32_t nh = 0;
-  for (const auto& [name, h] : end.histograms) {
-    auto it = base.histograms.find(name);
-    const metrics::Snapshot::Hist* b = it == base.histograms.end() ? nullptr : &it->second;
-    const std::uint64_t count_d = h.count - (b ? b->count : 0);
-    const double sum_d = h.sum - (b ? b->sum : 0.0);
-    if (count_d == 0 && sum_d == 0.0) continue;
-    put_str(body, name);
-    put<std::uint32_t>(body, static_cast<std::uint32_t>(h.buckets.size()));
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      const std::uint64_t was = b && i < b->buckets.size() ? b->buckets[i] : 0;
-      put<std::uint64_t>(body, h.buckets[i] - was);
-    }
-    put<std::uint64_t>(body, count_d);
-    put<double>(body, sum_d);
-    ++nh;
-  }
-  if (nc == 0 && nh == 0) return out;
-  put<std::uint32_t>(out, nc);
-  put<std::uint32_t>(out, nh);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
-void absorb_metrics_delta(metrics::Registry& reg, const std::byte* p, std::size_t len) {
-  std::size_t off = 0;
-  const auto nc = get<std::uint32_t>(p, len, off);
-  const auto nh = get<std::uint32_t>(p, len, off);
-  for (std::uint32_t i = 0; i < nc; ++i) {
-    const std::string name = get_str(p, len, off);
-    const auto d = get<std::uint64_t>(p, len, off);
-    reg.counter(name)->add(0, d);
-  }
-  for (std::uint32_t i = 0; i < nh; ++i) {
-    const std::string name = get_str(p, len, off);
-    const auto nb = get<std::uint32_t>(p, len, off);
-    std::vector<std::uint64_t> buckets(nb);
-    for (std::uint32_t k = 0; k < nb; ++k) buckets[k] = get<std::uint64_t>(p, len, off);
-    const auto count_d = get<std::uint64_t>(p, len, off);
-    const auto sum_d = get<double>(p, len, off);
-    reg.histogram(name)->absorb(buckets, count_d, sum_d);
-  }
 }
 
 /// Finds (or claims) the barrier slot of `g` in the shared table. A slot is
@@ -347,7 +250,7 @@ void ProcBackend::reset_run_state() {
     for (std::size_t i = 0; i < n; ++i) c.traffic[i].store(0, std::memory_order_relaxed);
   }
   matched_.clear();
-  ctrl_frames_.clear();
+  done_frames_.clear();
   barrier_epoch_.clear();
   pids_.assign(static_cast<std::size_t>(num_procs()), 0);
 }
@@ -412,7 +315,7 @@ void ProcBackend::attach_channel(int rank) {
   chan_->set_stop(&ctrl_->abort);
   // A rank that reported done never drains again, so a send to it can only
   // be dropped. Rank 0 is the exception: it keeps draining through the
-  // join, which is where children's residue and Done frames arrive.
+  // join, which is where children's Done frames arrive.
   chan_->set_peer_done([c = ctrl_](int dst) {
     return dst != 0 && c->ranks[dst].done.load(std::memory_order_acquire) != 0;
   });
@@ -430,22 +333,20 @@ void ProcBackend::drain_channel() {
       lv.mail_depth.fetch_add(1, std::memory_order_relaxed);
       ctrl_->in_transit.fetch_sub(1, std::memory_order_seq_cst);
     } else {
-      ctrl_frames_.push_back(std::move(f));  // child residue; absorbed post-join
+      done_frames_.push_back(std::move(f));  // child residue; absorbed post-join
     }
   }
 }
 
 void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
-  require_rank(dst, num_procs(), "Machine::deposit: bad destination");
+  require_rank(dst, num_procs(), "Context::send: bad destination");
   const int src = current_rank();
   check_abort();
-  beat();
-  const std::size_t nbytes = data.size();
-  if (tracer_) {
-    const double sent_at = now_s();
-    tracer_->message_sent(src, dst, tag, nbytes, sent_at, sent_at);
-  }
+  const double sent_at = now_s();
   RankLive& lv = ctrl_->ranks[src];
+  lv.beat(sent_at);
+  const std::size_t nbytes = data.size();
+  probe_.sent(src, dst, tag, nbytes, sent_at, sent_at);
   lv.messages += 1;
   lv.bytes += nbytes;
   if (config_.record_traffic) {
@@ -479,22 +380,24 @@ void ProcBackend::deposit(int dst, std::uint64_t tag, Payload data) {
 }
 
 Payload ProcBackend::receive(int src, std::uint64_t tag) {
-  require_rank(src, num_procs(), "Machine::receive: bad source");
+  require_rank(src, num_procs(), "Context::recv: bad source");
   const int rank = current_rank();
-  beat();
-  const MailKey key{src, tag};
-  const double entry = now_s();
-  bool blocked = false;
   RankLive& lv = ctrl_->ranks[rank];
+  const double entry = now_s();
+  lv.beat(entry);
+  const MailKey key{src, tag};
+  bool blocked = false;
 
   for (;;) {
     check_abort();
     drain_channel();
     if (auto m = matched_.pop(key)) {
       lv.mail_depth.fetch_sub(1, std::memory_order_relaxed);
-      beat();
-      if (blocked) lv.add_wait(now_s() - entry);
-      if (tracer_) tracer_->message_received(rank, src, tag, entry, now_s());
+      // A message matched on the first attempt was already here: no wait.
+      const double ready = blocked ? now_s() : entry;
+      lv.beat(ready);
+      if (blocked) lv.add_wait(ready - entry);
+      probe_.received(rank, src, tag, entry, ready);
       return std::move(*m);
     }
     // Park on the channel doorbell. The bounded timeout keeps the loop
@@ -513,13 +416,17 @@ Payload ProcBackend::receive(int src, std::uint64_t tag) {
 
 void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
   const int rank = current_rank();
-  pgroup::require_member(group, rank, "Machine::barrier");
+  pgroup::require_member(group, rank, "Context::barrier");
   check_abort();
-  beat();
   RankLive& lv = ctrl_->ranks[rank];
+  const double entry = now_s();
+  lv.beat(entry);
   lv.barriers += 1;
   const int n = group.size();
-  if (n == 1) return;
+  if (n == 1) {
+    probe_.barrier(rank, group.key(), 1, entry, entry);
+    return;
+  }
 
   procdetail::BarrierSlot* slot = barrier_slot_for(ctrl_, group);
   const auto want = static_cast<std::uint32_t>(++barrier_epoch_[group.key()]);
@@ -558,11 +465,10 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
     lv.reason.store(BlockReason::None, std::memory_order_release);
   }
   check_abort();
-  beat();
-
   const double released_at = now_s();
+  lv.beat(released_at);
   if (released_at > arrived_at) lv.add_wait(released_at - arrived_at);
-  if (tracer_) tracer_->barrier_note(rank, group.key(), arrived_at, released_at);
+  probe_.barrier(rank, group.key(), n, arrived_at, released_at);
 }
 
 // ---------------------------------------------------------------------------
@@ -583,11 +489,13 @@ void ProcBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t l
 void ProcBackend::io_operation(std::size_t bytes) {
   const int rank = current_rank();
   check_abort();
-  beat();
-  const double entry = now_s();
   RankLive& lv = ctrl_->ranks[rank];
+  const double entry = now_s();
+  lv.beat(entry);
   const auto token = static_cast<std::uint32_t>(rank) + 1;
   std::uint32_t expect = 0;
+  double acquired = entry;
+  int cause = rank;
   if (!ctrl_->io_lock.compare_exchange_strong(expect, token, std::memory_order_acq_rel)) {
     lv.reason.store(BlockReason::Io, std::memory_order_release);
     for (;;) {
@@ -602,18 +510,16 @@ void ProcBackend::io_operation(std::size_t bytes) {
       sleep_s(20e-6);
     }
     lv.reason.store(BlockReason::None, std::memory_order_release);
-    const double acquired = now_s();
+    acquired = now_s();
     lv.add_wait(acquired - entry);
-    if (tracer_) {
-      const int prev = ctrl_->io_prev.load(std::memory_order_acquire);
-      tracer_->io_wait(rank, entry, acquired, prev >= 0 ? prev : rank, entry);
-    }
+    const int prev = ctrl_->io_prev.load(std::memory_order_acquire);
+    if (prev >= 0) cause = prev;
   }
   ctrl_->io_prev.store(rank, std::memory_order_relaxed);
   // One sequential device: the lock section is the serialization point;
   // the payload work itself happens in the caller, like the threaded engine.
-  (void)bytes;
   ctrl_->io_lock.store(0, std::memory_order_release);
+  probe_.io(rank, bytes, entry, acquired, cause, entry);
 }
 
 // ---------------------------------------------------------------------------
@@ -684,7 +590,10 @@ void ProcBackend::run(const std::function<void(int)>& body) {
   stop_monitor();
   reap_children();
 
-  if (ctrl_->abort.load(std::memory_order_acquire) == 0) absorb_residue();
+  if (ctrl_->abort.load(std::memory_order_acquire) == 0) {
+    for (const net::Frame& f : done_frames_) probe_.absorb(f.payload);
+  }
+  done_frames_.clear();
   chan_.reset();
 
   const std::uint32_t aborted = ctrl_->abort.load(std::memory_order_acquire);
@@ -713,18 +622,15 @@ void ProcBackend::child_main(const std::function<void(int)>& body, int rank,
   // Parent-only bookkeeping inherited through fork must not act here.
   pids_.assign(pids_.size(), 0);
   matched_.clear();
-  ctrl_frames_.clear();
+  done_frames_.clear();
   barrier_epoch_.clear();
 
   transport_->isolate(rank);
   attach_channel(rank);
 
-  // Fork-time baselines: copy-on-write hands this child the registry and
-  // flight rings exactly as they stood at fork, so "what this rank did" is
-  // precisely the end-state minus these.
-  metrics::Snapshot fork_snap;
-  if (metrics_) fork_snap = metrics_->registry.snapshot();
-  const std::uint64_t fork_flight = flight_ ? flight_->ring_total(rank) : 0;
+  // Copy-on-write hands this child the sinks exactly as they stood at
+  // fork, so "what this rank did" is precisely the end state minus this.
+  const Probe::Baseline fork_state = probe_.baseline(rank);
 
   beat();
   int code = 0;
@@ -745,12 +651,10 @@ void ProcBackend::child_main(const std::function<void(int)>& body, int rank,
   if (code == 0 && ctrl_->abort.load(std::memory_order_acquire) == 0) {
     ctrl_->ranks[rank].elapsed_s = now_s();
     try {
-      ship_residue(rank, fork_snap, fork_flight);
+      const std::vector<std::byte> residue = probe_.residue(rank, fork_state);
       ctrl_->ranks[rank].done.store(1, std::memory_order_seq_cst);
       ctrl_->progress.fetch_add(1, std::memory_order_seq_cst);
-      // Done last: per-source FIFO guarantees rank 0 holds every residue
-      // frame of this child once it sees the Done.
-      chan_->send(0, net::FrameKind::Done, 0, nullptr, 0);
+      chan_->send(0, net::FrameKind::Done, 0, residue.data(), residue.size());
     } catch (...) {
       code = 3;  // aborted mid-residue; the parent reaps us either way
     }
@@ -762,81 +666,14 @@ void ProcBackend::child_main(const std::function<void(int)>& body, int rank,
   std::_Exit(code);
 }
 
-void ProcBackend::ship_residue(int rank, const metrics::Snapshot& fork_snap,
-                               std::uint64_t fork_flight_total) {
-  if (metrics_) {
-    const auto blob = serialize_metrics_delta(fork_snap, metrics_->registry.snapshot());
-    if (!blob.empty()) {
-      chan_->send(0, net::FrameKind::Metrics, 0, blob.data(), blob.size());
-    }
-  }
-  if (tracer_) {
-    const auto blob = tracer_->serialize_shard(rank);
-    chan_->send(0, net::FrameKind::Trace, 0, blob.data(), blob.size());
-  }
-  if (flight_) {
-    const auto events = flight_->ring_events(rank);
-    const std::uint64_t fresh = flight_->ring_total(rank) - fork_flight_total;
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(fresh, events.size()));
-    if (n > 0) {
-      std::vector<std::byte> blob(n * sizeof(obs::FlightEvent));
-      std::memcpy(blob.data(), events.data() + (events.size() - n),
-                  n * sizeof(obs::FlightEvent));
-      chan_->send(0, net::FrameKind::Flight, n, blob.data(), blob.size());
-    }
-  }
-}
-
-void ProcBackend::absorb_residue() {
-  for (auto& f : ctrl_frames_) {
-    switch (f.kind) {
-      case net::FrameKind::Metrics:
-        if (metrics_) {
-          absorb_metrics_delta(metrics_->registry, f.payload.data(), f.payload.size());
-        }
-        break;
-      case net::FrameKind::Trace:
-        if (tracer_) tracer_->absorb_shard(f.payload.data(), f.payload.size());
-        break;
-      case net::FrameKind::Flight:
-        if (flight_) {
-          const std::size_t n = f.payload.size() / sizeof(obs::FlightEvent);
-          for (std::size_t i = 0; i < n; ++i) {
-            obs::FlightEvent e;
-            std::memcpy(&e, f.payload.data() + i * sizeof(obs::FlightEvent),
-                        sizeof(obs::FlightEvent));
-            flight_->record(e.proc, e.kind, e.t, e.name, e.a, e.b);
-          }
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  ctrl_frames_.clear();
-}
-
 void ProcBackend::wait_for_children() {
-  const int p = num_procs();
-  std::vector<char> got_done(static_cast<std::size_t>(p), 0);
-  got_done[0] = 1;
-  int ndone = 1;
-  const auto scan = [&] {
-    for (const auto& f : ctrl_frames_) {
-      if (f.kind == net::FrameKind::Done && f.src >= 1 && f.src < p &&
-          got_done[static_cast<std::size_t>(f.src)] == 0) {
-        got_done[static_cast<std::size_t>(f.src)] = 1;
-        ++ndone;
-      }
-    }
-  };
-  scan();  // Done frames can already sit here, drained during rank 0's body
-  while (ndone < p) {
+  // Every child sends exactly one Done frame, last; some may already sit
+  // in done_frames_, drained during rank 0's body.
+  const auto children = static_cast<std::size_t>(num_procs() - 1);
+  while (done_frames_.size() < children) {
     if (ctrl_->abort.load(std::memory_order_acquire) != 0) return;  // reap takes over
     drain_channel();
-    scan();
-    if (ndone >= p) break;
+    if (done_frames_.size() >= children) break;
     chan_->wait(0.01);
   }
 }

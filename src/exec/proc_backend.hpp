@@ -31,11 +31,11 @@
 // cross-backend parity sweep (tests/test_exec_parity.cpp) holds this.
 //
 // Observability across the fork: a finishing child writes its counters
-// into the control block, then ships its variable-size residue — metrics
-// deltas, its trace shard, its flight-recorder events — to rank 0 as
-// control frames, Done last; the parent absorbs them post-join so
-// RunResult snapshots, traces and /trace dumps look the same as on the
-// threaded path.
+// into the control block, then sends rank 0 one Done frame whose payload
+// is its residue (exec/probe.hpp: metric deltas, trace shard and flight
+// events, one opaque blob); the parent absorbs it post-join so RunResult
+// snapshots, traces and /trace dumps look the same as on the threaded
+// path.
 //
 // Run lifetime: the control block and the transport live as long as the
 // backend; a run resets both (Transport::reset() empties every ring or
@@ -62,10 +62,6 @@
 #include "machine/config.hpp"
 #include "net/channel.hpp"
 
-namespace fxpar::metrics {
-struct Snapshot;
-}
-
 namespace fxpar::exec {
 
 namespace procdetail {
@@ -84,7 +80,6 @@ class ProcBackend final : public Backend {
   int num_procs() const noexcept override { return config_.num_procs; }
 
   void run(const std::function<void(int)>& body) override;
-  void set_tracer(trace::TraceRecorder* tracer) noexcept override { tracer_ = tracer; }
 
   obs::Introspection introspect() const override;
   obs::Introspection failure_introspection() const override;
@@ -111,7 +106,7 @@ class ProcBackend final : public Backend {
   void check_abort() const;  ///< throws AbortError when the abort word is up
   void reset_run_state();
   void attach_channel(int rank);  ///< this process's endpoint of transport_
-  void drain_channel();      ///< moves transport frames into matched_/ctrl_frames_
+  void drain_channel();      ///< moves transport frames into matched_/done_frames_
   /// First-failure protocol: claim the error slot, record `text`, freeze
   /// the per-rank introspection snapshot into the control block, then
   /// raise the abort word (`kind` 1 = abort, 2 = deadlock). Returns true
@@ -120,12 +115,6 @@ class ProcBackend final : public Backend {
   void wake_all_barriers();
   /// A forked rank's whole life; never returns. `parent` is rank 0's pid.
   void child_main(const std::function<void(int)>& body, int rank, pid_t parent);
-  /// Ships a finishing child's variable-size residue to rank 0: the metric
-  /// delta against the fork-time snapshot, its trace shard, and its flight
-  /// events past the fork-time ring total.
-  void ship_residue(int rank, const metrics::Snapshot& fork_snap,
-                    std::uint64_t fork_flight_total);
-  void absorb_residue();                  ///< rank 0: apply shipped control frames
   void wait_for_children();
   void reap_children();
   void monitor_loop();
@@ -135,7 +124,6 @@ class ProcBackend final : public Backend {
   void stop_monitor();  ///< wakes the monitor out of any pause and joins it
 
   machine::MachineConfig config_;
-  trace::TraceRecorder* tracer_ = nullptr;
 
   procdetail::Ctrl* ctrl_ = nullptr;
   std::size_t ctrl_bytes_ = 0;
@@ -148,7 +136,7 @@ class ProcBackend final : public Backend {
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<net::Channel> chan_;
   MailStore<Payload> matched_;  ///< matched (or self-deposited) messages
-  std::vector<net::Frame> ctrl_frames_;              ///< rank 0: stashed control frames
+  std::vector<net::Frame> done_frames_;  ///< rank 0: children's Done frames (residue)
   std::map<std::uint64_t, std::uint64_t> barrier_epoch_;  ///< per-group episode counter
 
   // Parent-side bookkeeping.

@@ -5,9 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "metrics/runtime_metrics.hpp"
-#include "trace/trace.hpp"
-
 namespace fxpar::exec {
 
 const char* backend_kind_name(BackendKind k) noexcept {
@@ -40,11 +37,6 @@ SimBackend::SimBackend(const machine::MachineConfig& config) : config_(config) {
 
 SimBackend::~SimBackend() = default;
 
-void SimBackend::set_tracer(trace::TraceRecorder* tracer) noexcept {
-  tracer_ = tracer;
-  sim_->set_tracer(tracer);
-}
-
 double SimBackend::now(int rank) const { return sim_->clock(rank).now; }
 
 int SimBackend::current_rank() const { return sim_->current_rank(); }
@@ -53,7 +45,7 @@ void SimBackend::charge(double seconds) {
   sim_->advance(seconds);
   // Accumulated modeled compute. All fibers run on the simulator's one OS
   // thread, so the gauge's single-writer contract holds.
-  if (metrics_ && seconds > 0.0) metrics_->modeled_busy_s->add(seconds);
+  if (probe_.metrics && seconds > 0.0) probe_.metrics->modeled_busy_s->add(seconds);
 }
 
 void SimBackend::run(const std::function<void(int)>& body) {
@@ -62,7 +54,6 @@ void SimBackend::run(const std::function<void(int)>& body) {
     // accumulating metrics across programs) get a fresh one, like the
     // threaded backend's reset_run_state(). Modeled clocks restart at zero.
     sim_ = std::make_unique<runtime::Simulator>(config_.num_procs, config_.stack_bytes);
-    sim_->set_tracer(tracer_);
     mailboxes_.assign(static_cast<std::size_t>(config_.num_procs), {});
     waits_.assign(static_cast<std::size_t>(config_.num_procs), {});
     barriers_.clear();
@@ -79,6 +70,7 @@ void SimBackend::run(const std::function<void(int)>& body) {
     }
   }
   ran_ = true;
+  sim_->set_tracer(probe_.trace);
   for (int r = 0; r < num_procs(); ++r) {
     sim_->spawn(r, [&body, r] { body(r); });
   }
@@ -128,7 +120,7 @@ BackendStats SimBackend::stats() const {
 }
 
 void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
-  require_rank(dst, num_procs(), "Machine::deposit: bad destination");
+  require_rank(dst, num_procs(), "Context::send: bad destination");
   const int src = sim_->current_rank();
   const std::size_t bytes = data.size();
   // Sender-side costs: software overhead plus wire serialization.
@@ -136,7 +128,7 @@ void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   sim_->advance(config_.send_overhead + static_cast<double>(bytes) * config_.byte_time);
   const runtime::SimTime arrival = sim_->now() + config_.latency;
 
-  if (tracer_) tracer_->message_sent(src, dst, tag, bytes, send_start, sim_->now());
+  probe_.sent(src, dst, tag, bytes, send_start, sim_->now());
   const MailKey key{src, tag};
   mailboxes_[static_cast<std::size_t>(dst)].push(key, Message{std::move(data), arrival});
   stat_messages_ += 1;
@@ -155,7 +147,7 @@ void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
 }
 
 Payload SimBackend::receive(int src, std::uint64_t tag) {
-  require_rank(src, num_procs(), "Machine::receive: bad source");
+  require_rank(src, num_procs(), "Context::recv: bad source");
   const int dst = sim_->current_rank();
   const MailKey key{src, tag};
   auto& box = mailboxes_[static_cast<std::size_t>(dst)];
@@ -163,7 +155,8 @@ Payload SimBackend::receive(int src, std::uint64_t tag) {
   for (;;) {
     if (auto msg = box.pop(key)) {
       sim_->advance_to(msg->arrival);
-      if (tracer_) tracer_->message_received(dst, src, tag, recv_entry, sim_->now());
+      // A message still in flight is a modeled wait even when already queued.
+      probe_.received(dst, src, tag, recv_entry, sim_->now());
       sim_->advance(config_.recv_overhead);
       progress_ += 1;
       return std::move(msg->data);
@@ -179,37 +172,36 @@ Payload SimBackend::receive(int src, std::uint64_t tag) {
 
 void SimBackend::barrier(const pgroup::ProcessorGroup& group) {
   const int me = sim_->current_rank();
-  pgroup::require_member(group, me, "Machine::barrier");
+  pgroup::require_member(group, me, "Context::barrier");
   stat_barriers_ += 1;
   progress_ += 1;
   const int n = group.size();
-  const double cost =
-      config_.barrier_base +
-      config_.barrier_stage * std::ceil(std::log2(static_cast<double>(std::max(n, 2))));
-  if (n == 1) {
-    sim_->advance(config_.barrier_base);
-    return;
-  }
-  BarrierState& st = barriers_[group.key()];
-  st.size = n;
-  st.arrived += 1;
   const runtime::SimTime arrived_at = sim_->now();
   const std::uint64_t arrival_seq = progress_;  // fiber execution order
-  // The release is modeled from the latest *modeled* arrival, which need
-  // not be the fiber that executes last.
-  st.max_arrival = std::max(st.max_arrival, arrived_at);
-  if (st.arrived < n) {
-    st.waiting.push_back(me);
-    sim_->block("barrier on group " + group.to_string());
-    // Woken by the last arriver with the clock already at the release.
+  if (n == 1) {
+    sim_->advance(config_.barrier_base);
   } else {
-    const runtime::SimTime release = st.max_arrival + cost;
-    std::vector<int> waiting = std::move(st.waiting);
-    barriers_.erase(group.key());
-    for (int r : waiting) sim_->wake(r, release);
-    sim_->advance_to(release);
+    BarrierState& st = barriers_[group.key()];
+    st.size = n;
+    st.arrived += 1;
+    // The release is modeled from the latest *modeled* arrival, which need
+    // not be the fiber that executes last.
+    st.max_arrival = std::max(st.max_arrival, arrived_at);
+    if (st.arrived < n) {
+      st.waiting.push_back(me);
+      sim_->block("barrier on group " + group.to_string());
+      // Woken by the last arriver with the clock already at the release.
+    } else {
+      const double cost = config_.barrier_base +
+                          config_.barrier_stage * std::ceil(std::log2(static_cast<double>(n)));
+      const runtime::SimTime release = st.max_arrival + cost;
+      std::vector<int> waiting = std::move(st.waiting);
+      barriers_.erase(group.key());
+      for (int r : waiting) sim_->wake(r, release);
+      sim_->advance_to(release);
+    }
   }
-  if (tracer_) tracer_->barrier_note(me, group.key(), arrived_at, sim_->now(), arrival_seq);
+  probe_.barrier(me, group.key(), n, arrived_at, sim_->now(), arrival_seq);
 }
 
 void SimBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
@@ -224,19 +216,16 @@ void SimBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo
 
 void SimBackend::io_operation(std::size_t bytes) {
   progress_ += 1;
+  const int me = sim_->current_rank();
   const double entry = sim_->now();
   const double start = std::max(entry, io_available_);
   const double done = start + config_.io_latency +
                       static_cast<double>(bytes) * config_.io_byte_time;
-  if (tracer_) {
-    const int me = sim_->current_rank();
-    // When queued behind an earlier operation, the happens-before edge
-    // points at its owner; otherwise the stall is the device itself.
-    const bool queued = start > entry && io_prev_proc_ >= 0;
-    tracer_->io_wait(me, entry, done, queued ? io_prev_proc_ : me,
-                     queued ? io_available_ : entry);
-    io_prev_proc_ = me;
-  }
+  // When queued behind an earlier operation, the happens-before edge
+  // points at its owner; otherwise the stall is the device itself.
+  const bool queued = start > entry && io_prev_proc_ >= 0;
+  probe_.io(me, bytes, entry, done, queued ? io_prev_proc_ : me, queued ? io_available_ : entry);
+  io_prev_proc_ = me;
   io_available_ = done;
   sim_->advance_to(done);
 }

@@ -29,7 +29,6 @@ class SimBackend final : public Backend {
   int num_procs() const noexcept override { return config_.num_procs; }
 
   void run(const std::function<void(int)>& body) override;
-  void set_tracer(trace::TraceRecorder* tracer) noexcept override;
   double now(int rank) const override;
   BackendStats stats() const override;
   /// Like the rest of the simulator, NOT thread-safe against a running
@@ -69,7 +68,6 @@ class SimBackend final : public Backend {
 
   machine::MachineConfig config_;
   std::unique_ptr<runtime::Simulator> sim_;
-  trace::TraceRecorder* tracer_ = nullptr;
   std::vector<MailStore<Message>> mailboxes_;
   std::vector<WaitState> waits_;
   std::map<std::uint64_t, BarrierState> barriers_;  ///< keyed by group key

@@ -6,11 +6,8 @@
 #include <string>
 #include <utility>
 
-#include "metrics/runtime_metrics.hpp"
-#include "obs/flight_recorder.hpp"
 #include "pgroup/group.hpp"
 #include "runtime/simulator.hpp"  // runtime::DeadlockError
-#include "trace/trace.hpp"
 
 namespace fxpar::exec {
 namespace {
@@ -182,7 +179,7 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
       if (place.cpu >= 0 && pin_current_thread(place)) {
         lv.cpu.store(place.cpu, std::memory_order_relaxed);
         lv.node.store(place.node, std::memory_order_relaxed);
-        if (tracer_) tracer_->set_worker_placement(r, place.cpu, place.node);
+        if (probe_.trace) probe_.trace->set_worker_placement(r, place.cpu, place.node);
       }
       lv.beat(now_s());
       try {
@@ -204,12 +201,12 @@ void ThreadedBackend::run(const std::function<void(int)>& body) {
   }
   for (auto& wp : workers_) wp->thread.join();
 
-  if (metrics_ && !pin_plan.empty()) {
+  if (probe_.metrics && !pin_plan.empty()) {
     int pinned = 0;
     for (const RankLive& lv : live()) {
       pinned += lv.cpu.load(std::memory_order_relaxed) >= 0 ? 1 : 0;
     }
-    metrics_->pinned_workers->set(pinned);
+    probe_.metrics->pinned_workers->set(pinned);
   }
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -243,10 +240,11 @@ void ThreadedBackend::report_deadlock() {
 // Messaging
 
 void ThreadedBackend::deposit(int dst, std::uint64_t tag, Payload data) {
-  require_rank(dst, num_procs(), "Machine::deposit: bad destination");
+  require_rank(dst, num_procs(), "Context::send: bad destination");
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
   RankLive& me = self_live();
-  me.beat(now_s());
+  const double sent_at = now_s();
+  me.beat(sent_at);
   const int src = CallingRank::rank;
   const std::size_t bytes = data.size();
 
@@ -254,10 +252,7 @@ void ThreadedBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   node->src = src;
   node->tag = tag;
   node->data = std::move(data);
-  if (tracer_) {
-    const double sent_at = now_s();
-    tracer_->message_sent(src, dst, tag, bytes, sent_at, sent_at);
-  }
+  probe_.sent(src, dst, tag, bytes, sent_at, sent_at);
 
   me.messages += 1;
   me.bytes += bytes;
@@ -308,12 +303,13 @@ void ThreadedBackend::drain_inbox(Worker& w) {
 }
 
 Payload ThreadedBackend::receive(int src, std::uint64_t tag) {
-  require_rank(src, num_procs(), "Machine::receive: bad source");
+  require_rank(src, num_procs(), "Context::recv: bad source");
   Worker& me = self();
-  RankLive& lv = live_[CallingRank::rank];
-  lv.beat(now_s());
-  const MailKey key{src, tag};
+  const int rank = CallingRank::rank;
+  RankLive& lv = live_[rank];
   const double entry = now_s();
+  lv.beat(entry);
+  const MailKey key{src, tag};
   bool blocked = false;
 
   for (int spin = 0;; ++spin) {
@@ -321,9 +317,11 @@ Payload ThreadedBackend::receive(int src, std::uint64_t tag) {
     drain_inbox(me);
     if (auto node = me.sorted.pop(key)) {
       lv.mail_depth.fetch_sub(1, std::memory_order_relaxed);
-      lv.beat(now_s());
-      if (blocked) lv.add_wait(now_s() - entry);
-      if (tracer_) tracer_->message_received(CallingRank::rank, src, tag, entry, now_s());
+      // A message matched on the first attempt was already here: no wait.
+      const double ready = spin == 0 ? entry : now_s();
+      lv.beat(ready);
+      if (blocked) lv.add_wait(ready - entry);
+      probe_.received(rank, src, tag, entry, ready);
       return std::move((*node)->data);
     }
     if (spin < kSpinRounds) {
@@ -386,13 +384,17 @@ std::shared_ptr<ThreadedBackend::TreeBarrier> ThreadedBackend::barrier_for(
 void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
   Worker& me = self();
   const int rank = CallingRank::rank;
-  const int vrank = pgroup::require_member(group, rank, "Machine::barrier");
+  const int vrank = pgroup::require_member(group, rank, "Context::barrier");
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
   RankLive& lv = live_[rank];
-  lv.beat(now_s());
+  const double entry = now_s();
+  lv.beat(entry);
   lv.barriers += 1;
   const int n = group.size();
-  if (n == 1) return;
+  if (n == 1) {
+    probe_.barrier(rank, group.key(), 1, entry, entry);
+    return;
+  }
 
   std::shared_ptr<TreeBarrier> tb = barrier_for(me, group);
   const std::uint64_t episode = ++me.barrier_epoch[group.key()];
@@ -452,11 +454,10 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
     }
   }
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-  lv.beat(now_s());
-
   const double released_at = now_s();
+  lv.beat(released_at);
   if (released_at > arrived_at) lv.add_wait(released_at - arrived_at);
-  if (tracer_) tracer_->barrier_note(rank, group.key(), arrived_at, released_at);
+  probe_.barrier(rank, group.key(), n, arrived_at, released_at);
 }
 
 // ---------------------------------------------------------------------------
@@ -594,23 +595,12 @@ void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64
           if (ch.taken.load(std::memory_order_relaxed)) continue;
           if (ch.taken.exchange(true, std::memory_order_acq_rel)) continue;
           run_one(s, ch);
-          lv.beat(now_s());
+          const double t = now_s();
+          const auto iters = static_cast<std::uint64_t>(ch.hi - ch.lo);
+          lv.beat(t);
           lv.steals += 1;
-          lv.stolen_iters += static_cast<std::uint64_t>(ch.hi - ch.lo);
-          if (metrics_) {
-            metrics_->steals->add(rank);
-            metrics_->stolen_iters->add(rank, static_cast<std::uint64_t>(ch.hi - ch.lo));
-          }
-          if (tracer_) {
-            tracer_->steal_event(rank, arena->members[static_cast<std::size_t>(u)],
-                                 static_cast<std::uint64_t>(ch.hi - ch.lo), now_s());
-          }
-          if (flight_) {
-            flight_->record(rank, obs::FlightKind::Steal, now_s(), "steal",
-                            static_cast<std::uint64_t>(
-                                arena->members[static_cast<std::size_t>(u)]),
-                            static_cast<std::uint64_t>(ch.hi - ch.lo));
-          }
+          lv.stolen_iters += iters;
+          probe_.steal(rank, arena->members[static_cast<std::size_t>(u)], iters, t);
           next_victim = u;
           stole = true;
           break;
@@ -656,30 +646,29 @@ void ThreadedBackend::io_operation(std::size_t bytes) {
   RankLive& me = self_live();
   const int rank = CallingRank::rank;
   if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-  me.beat(now_s());
   const double entry = now_s();
+  me.beat(entry);
   // The machine has one sequential I/O device; serialize real access to it
   // just as the simulator serializes modeled access. Only time spent
   // *acquiring* the lock — genuinely queued behind another processor's
   // operation — is blocked time; the device section itself is the caller's
   // own work and stays in busy time.
   std::unique_lock<std::mutex> lk(io_mu_, std::try_to_lock);
+  double acquired = entry;
+  int cause = rank;
   if (!lk.owns_lock()) {
     me.reason.store(BlockReason::Io, std::memory_order_release);
     lk.lock();
     me.reason.store(BlockReason::None, std::memory_order_release);
-    const double acquired = now_s();
+    acquired = now_s();
     me.add_wait(acquired - entry);
-    if (tracer_) {
-      const int prev = io_prev_proc_;  // guarded by io_mu_, held since lk.lock()
-      tracer_->io_wait(rank, entry, acquired, prev >= 0 ? prev : rank, entry);
-    }
+    if (io_prev_proc_ >= 0) cause = io_prev_proc_;  // guarded by io_mu_, held since lk.lock()
   }
   io_prev_proc_ = rank;
   // Device occupancy: the modeled latency/byte costs are simulator-side
   // parameters, but holding the lock for the transfer keeps operations
   // serialized. The payload copy itself happens in the caller.
-  (void)bytes;
+  probe_.io(rank, bytes, entry, acquired, cause, entry);
 }
 
 // ---------------------------------------------------------------------------

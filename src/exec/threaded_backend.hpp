@@ -75,7 +75,6 @@ class ThreadedBackend final : public Backend {
   int num_procs() const noexcept override { return config_.num_procs; }
 
   void run(const std::function<void(int)>& body) override;
-  void set_tracer(trace::TraceRecorder* tracer) noexcept override { tracer_ = tracer; }
   double now(int rank) const override;
   BackendStats stats() const override;
   /// Thread-safe at any time: worker fields it reads are atomics, and the
@@ -201,7 +200,6 @@ class ThreadedBackend final : public Backend {
   void report_deadlock();
 
   machine::MachineConfig config_;
-  trace::TraceRecorder* tracer_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<RankLive[]> live_;  ///< indexed by rank
   std::vector<std::uint64_t> traffic_;  ///< src * P + dst; row src owned by its worker

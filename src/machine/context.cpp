@@ -51,24 +51,24 @@ void Context::charge_mem_bytes(double bytes) {
 }
 
 void Context::send(int dst_vrank, std::uint64_t tag, Payload data) {
-  machine_.deposit(phys_, group().physical(dst_vrank), tag, std::move(data));
+  machine_.backend().deposit(group().physical(dst_vrank), tag, std::move(data));
 }
 
 Payload Context::recv(int src_vrank, std::uint64_t tag) {
-  return machine_.receive(phys_, group().physical(src_vrank), tag);
+  return machine_.backend().receive(group().physical(src_vrank), tag);
 }
 
 void Context::send_phys(int dst_phys, std::uint64_t tag, Payload data) {
-  machine_.deposit(phys_, dst_phys, tag, std::move(data));
+  machine_.backend().deposit(dst_phys, tag, std::move(data));
 }
 
 Payload Context::recv_phys(int src_phys, std::uint64_t tag) {
-  return machine_.receive(phys_, src_phys, tag);
+  return machine_.backend().receive(src_phys, tag);
 }
 
-void Context::barrier() { machine_.barrier(group()); }
+void Context::barrier() { machine_.backend().barrier(group()); }
 
-void Context::barrier(const pgroup::ProcessorGroup& g) { machine_.barrier(g); }
+void Context::barrier(const pgroup::ProcessorGroup& g) { machine_.backend().barrier(g); }
 
 std::uint64_t Context::collective_tag(const pgroup::ProcessorGroup& g) {
   std::uint64_t& counter = collective_counters_[g.key()];
@@ -79,27 +79,15 @@ std::uint64_t Context::collective_tag(const pgroup::ProcessorGroup& g) {
   return h | (1ull << 63);
 }
 
-void Context::io(std::size_t bytes) { machine_.io_operation(bytes); }
+void Context::io(std::size_t bytes) { machine_.backend().io_operation(bytes); }
 
 trace::ScopedSpan Context::span(std::string name, const char* category) {
-  if (auto* f = machine_.flight()) {
-    f->record(phys_, obs::FlightKind::Span, machine_.backend().now(phys_),
-              name.c_str());
-  }
-  trace::TraceRecorder* t = machine_.tracer();
-  if (!t) return {};
-  t->begin_span(phys_, std::move(name), category);
-  return {t, phys_};
+  return machine_.backend().probe().span(phys_, [this] { return now(); }, std::move(name),
+                                         category);
 }
 
 trace::ScopedSpan Context::span(const char* name, const char* category) {
-  if (auto* f = machine_.flight()) {
-    f->record(phys_, obs::FlightKind::Span, machine_.backend().now(phys_), name);
-  }
-  trace::TraceRecorder* t = machine_.tracer();
-  if (!t) return {};
-  t->begin_span(phys_, name, category);
-  return {t, phys_};
+  return machine_.backend().probe().span(phys_, [this] { return now(); }, name, category);
 }
 
 }  // namespace fxpar::machine

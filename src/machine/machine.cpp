@@ -52,17 +52,15 @@ Machine::Machine(MachineConfig config) : config_(config) {
                                ? trace::TraceRecorder::Busy::Charged
                                : trace::TraceRecorder::Busy::Elapsed);
     tracer_->set_clock([this](int rank) { return backend_->now(rank); });
-    backend_->set_tracer(tracer_.get());
   }
   if (config_.metrics) {
     metrics_ = std::make_unique<metrics::RuntimeMetrics>(config_.num_procs);
-    backend_->set_metrics(metrics_.get());
   }
   if (config_.flight_recorder || config_.obs_port >= 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(
         config_.num_procs, config_.flight_events, config_.flight_window_s);
-    backend_->set_flight(flight_.get());
   }
+  backend_->set_probe(exec::Probe{tracer_.get(), metrics_.get(), flight_.get()});
   if (config_.obs_port >= 0) {
     endpoint_ = std::make_unique<obs::Endpoint>();
     endpoint_->handle("/metrics", "text/plain; version=0.0.4", [this] {
@@ -99,25 +97,12 @@ int calling_rank(const exec::Backend& backend) noexcept {
   }
 }
 
-/// Shard index for metric updates: the calling rank, or 0 on the driver.
-int metric_shard(const exec::Backend& backend) noexcept {
-  return std::max(0, calling_rank(backend));
-}
-
 }  // namespace
 
 void Machine::count_plan(PlanKind kind, bool hit) noexcept {
-  const auto k = static_cast<std::size_t>(kind);
-  stat_plans_[k][hit ? 1 : 0].fetch_add(1, std::memory_order_relaxed);
-  if (!metrics_ && !tracer_) return;
-  const int rank = metric_shard(*backend_);
-  if (metrics_) {
-    metrics::Counter* const counters[2][2] = {
-        {metrics_->plan_misses, metrics_->plan_hits},
-        {metrics_->collective_plan_misses, metrics_->collective_plan_hits}};
-    counters[k][hit ? 1 : 0]->add(rank);
-  }
-  if (tracer_) tracer_->plan_cache_event(rank, hit);
+  stat_plans_[static_cast<std::size_t>(kind)][hit ? 1 : 0].fetch_add(1, std::memory_order_relaxed);
+  // Metric shard: the calling rank, or 0 on the driver thread.
+  if (metrics_ || tracer_) backend_->probe().plan(std::max(0, calling_rank(*backend_)), kind, hit);
 }
 
 std::size_t Machine::next_cache_slot() {
@@ -226,66 +211,6 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
         std::make_shared<const metrics::Snapshot>(metrics_->registry.snapshot());
   }
   return res;
-}
-
-void Machine::deposit(int src, int dst, std::uint64_t tag, Payload data) {
-  // `src` is always the calling processor (the backend derives it too), so
-  // it doubles as the metric shard index.
-  if (metrics_) {
-    metrics_->messages->add(src);
-    metrics_->message_bytes->add(src, data.size());
-  }
-  if (flight_) {
-    flight_->record(src, obs::FlightKind::Message, backend_->now(src), "send",
-                    static_cast<std::uint64_t>(dst), tag);
-  }
-  backend_->deposit(dst, tag, std::move(data));
-}
-
-Payload Machine::receive(int dst, int src, std::uint64_t tag) {
-  // `dst` is always the calling processor; the backend derives it.
-  if (!metrics_ && !flight_) return backend_->receive(src, tag);
-  const double t0 = backend_->now(dst);
-  Payload p = backend_->receive(src, tag);
-  // Modeled wait on the simulator, real blocked seconds on threads.
-  if (metrics_) metrics_->recv_wait_s->observe(dst, backend_->now(dst) - t0);
-  if (flight_) {
-    flight_->record(dst, obs::FlightKind::Recv, backend_->now(dst), "recv",
-                    static_cast<std::uint64_t>(src), tag);
-  }
-  return p;
-}
-
-void Machine::barrier(const pgroup::ProcessorGroup& group) {
-  if (!metrics_ && !flight_) {
-    backend_->barrier(group);
-    return;
-  }
-  const int rank = metric_shard(*backend_);
-  const double t0 = backend_->now(rank);
-  backend_->barrier(group);
-  if (metrics_) {
-    metrics_->barriers->add(rank);
-    metrics_->barrier_wait_s->observe(rank, backend_->now(rank) - t0);
-  }
-  if (flight_) {
-    flight_->record(rank, obs::FlightKind::Barrier, backend_->now(rank),
-                    "barrier", group.key(), 0);
-  }
-}
-
-void Machine::io_operation(std::size_t bytes) {
-  if (!metrics_ && !flight_) {
-    backend_->io_operation(bytes);
-    return;
-  }
-  const int rank = metric_shard(*backend_);
-  if (metrics_) metrics_->io_ops->add(rank);
-  backend_->io_operation(bytes);
-  if (flight_) {
-    flight_->record(rank, obs::FlightKind::Io, backend_->now(rank), "io",
-                    static_cast<std::uint64_t>(bytes), 0);
-  }
 }
 
 // ---------------------------------------------------------------------------

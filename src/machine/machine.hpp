@@ -4,9 +4,9 @@
 // deterministic discrete-event simulator, the shared-memory threaded
 // engine or the process-per-rank engine, selected by
 // MachineConfig::backend — plus everything that is backend-independent:
-// the trace recorder, metrics and flight recorder, the typed cache-slot
-// registry (redistribution and collective plan caches), the buffer pools
-// and the per-run statistics. It launches an SPMD program body on every
+// the trace recorder, metrics and flight recorder (handed to the backend as
+// one exec::Probe), the typed cache-slot registry (redistribution and
+// collective plan caches), the buffer pools and the per-run statistics. It launches an SPMD program body on every
 // logical processor. User code never touches Machine directly while
 // running; it receives a Context (see context.hpp).
 #pragma once
@@ -50,10 +50,7 @@ class MachineCacheBase {
 };
 
 /// Which plan cache a hit or miss belongs to (Machine::count_plan).
-enum class PlanKind : std::uint8_t {
-  Redist,      ///< dist/plan_cache.hpp redistribution and halo schedules
-  Collective,  ///< comm/collective_plan.hpp collective schedules
-};
+using PlanKind = exec::PlanKind;
 
 /// Aggregate results of one run. The time fields are backend-defined:
 /// modeled machine seconds on the simulator, real host seconds on the
@@ -146,25 +143,9 @@ class Machine {
   /// The Context passed to each instance is private to that processor.
   RunResult run(const std::function<void(Context&)>& program);
 
-  // ---- internal services used by Context (public for the comm layer) ----
-
-  /// Deposits a message from physical `src` (which must be the calling
-  /// processor) into the mailbox of physical `dst`.
-  void deposit(int src, int dst, std::uint64_t tag, Payload data);
-
-  /// Receives the next message from (`src`, `tag`); blocks until available.
-  /// `dst` must be the calling processor.
-  Payload receive(int dst, int src, std::uint64_t tag);
-
-  /// Subset barrier over `group`; the calling processor must be a member.
-  /// Matched across members by content (group key) and per-group epoch.
-  void barrier(const pgroup::ProcessorGroup& group);
-
-  /// Sequential I/O device: performs an operation of `bytes` bytes for the
-  /// current processor; operations from all processors serialize.
-  void io_operation(std::size_t bytes);
-
-  /// The execution engine behind this machine.
+  /// The execution engine behind this machine. Context calls its
+  /// processor services (deposit, receive, barrier, io) directly; each
+  /// reports itself through the backend's probe (exec/probe.hpp).
   exec::Backend& backend() noexcept { return *backend_; }
   const exec::Backend& backend() const noexcept { return *backend_; }
 
@@ -241,9 +222,10 @@ class Machine {
     return static_cast<T&>(*c);
   }
 
-  /// Bumps the `kind` hit/miss counters reported through RunResult, the
-  /// metrics registry, and the calling processor's open trace spans.
-  /// Atomic: on the concurrent backends every worker counts at once.
+  /// Bumps the `kind` hit/miss counters reported through RunResult, and
+  /// reports the lookup through the probe (the metrics registry and the
+  /// calling processor's open trace spans). Atomic: on the concurrent
+  /// backends every worker counts at once.
   void count_plan(PlanKind kind, bool hit) noexcept;
 
   /// The plan caches' memo step, called under the cache's own lock:

@@ -27,17 +27,13 @@
 
 namespace fxpar::net {
 
-/// What a frame carries. Data frames are direct-deposit messages; the
-/// control kinds are shipped by a finishing child to rank 0 (its stats
-/// already sit in shared memory; these carry the variable-size residue:
-/// metric deltas, trace shards, flight-recorder events, then Done last —
-/// per-source ordering guarantees rank 0 has everything once it sees Done).
+/// What a frame carries. Data frames are direct-deposit messages. A
+/// finishing child sends rank 0 one Done frame last: its stats already sit
+/// in shared memory, and the payload is its variable-size residue, an
+/// opaque blob to the transport (exec/probe.hpp writes and reads it).
 enum class FrameKind : std::uint32_t {
-  Data = 0,     ///< direct-deposit message payload
-  Metrics = 1,  ///< serialized metrics delta (child -> rank 0)
-  Trace = 2,    ///< serialized trace shard (child -> rank 0)
-  Flight = 3,   ///< serialized flight-recorder events (child -> rank 0)
-  Done = 4,     ///< child finished; no further frames follow
+  Data = 0,  ///< direct-deposit message payload
+  Done = 1,  ///< child finished (payload: its residue); no further frames follow
 };
 
 /// One reassembled frame, as handed to the consumer by Channel::drain().

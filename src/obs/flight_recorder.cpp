@@ -51,14 +51,9 @@ void FlightRecorder::record(int proc, FlightKind kind, double t,
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> out;
-  for (const auto& rp : rings_) {
-    const Ring& r = *rp;
-    std::lock_guard<std::mutex> lk(r.mu);
-    const std::uint64_t live = std::min<std::uint64_t>(r.total, cap_);
-    // Oldest surviving event first: the ring wrapped at buf[total % cap].
-    for (std::uint64_t i = 0; i < live; ++i) {
-      out.push_back(r.buf[static_cast<std::size_t>((r.total - live + i) % cap_)]);
-    }
+  for (int p = 0; p < procs(); ++p) {
+    const std::vector<FlightEvent> ring = events_since(p, 0);
+    out.insert(out.end(), ring.begin(), ring.end());
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const FlightEvent& x, const FlightEvent& y) { return x.t < y.t; });
@@ -145,13 +140,14 @@ std::string FlightRecorder::events_json(const std::vector<FlightEvent>& events,
   return os.str();
 }
 
-std::vector<FlightEvent> FlightRecorder::ring_events(int proc) const {
+std::vector<FlightEvent> FlightRecorder::events_since(int proc, std::uint64_t total) const {
   std::vector<FlightEvent> out;
   if (proc < 0 || static_cast<std::size_t>(proc) >= rings_.size()) return out;
   const Ring& r = *rings_[static_cast<std::size_t>(proc)];
   std::lock_guard<std::mutex> lk(r.mu);
-  const std::uint64_t live = std::min<std::uint64_t>(r.total, cap_);
+  const std::uint64_t live = std::min<std::uint64_t>(r.total - std::min(total, r.total), cap_);
   out.reserve(static_cast<std::size_t>(live));
+  // Oldest surviving event first: the ring wrapped at buf[r.total % cap].
   for (std::uint64_t i = 0; i < live; ++i) {
     out.push_back(r.buf[static_cast<std::size_t>((r.total - live + i) % cap_)]);
   }

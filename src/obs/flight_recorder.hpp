@@ -10,10 +10,10 @@
 // the diagnostic bundles.
 //
 // Concurrency: one mutex per worker ring. Writers (the worker itself, or
-// the Machine service running on its behalf) contend only with dump
-// requests, never with each other, so the hot-path cost is an uncontended
-// lock plus a 56-byte copy. When the recorder is disabled, callers pay a
-// single null-pointer test (see exec::Backend::flight()).
+// the driver thread for marks) contend only with dump requests, never with
+// each other, so the hot-path cost is an uncontended lock plus a 56-byte
+// copy. The runtime services record through exec::Probe (exec/probe.hpp);
+// when the recorder is disabled, each hook pays a single null-pointer test.
 #pragma once
 
 #include <cstdint>
@@ -80,12 +80,11 @@ class FlightRecorder {
   std::uint64_t total_recorded() const;
   std::uint64_t dropped() const;
 
-  /// Surviving events of one ring, oldest first, with no window filter;
-  /// out-of-range procs get an empty vector. Together with ring_total()
-  /// this lets the proc backend ship a forked child's post-fork events to
-  /// the parent: the child replays the last `ring_total() - fork_total`
-  /// survivors through the parent's record().
-  std::vector<FlightEvent> ring_events(int proc) const;
+  /// Surviving events of `proc`'s ring recorded after its first `total`,
+  /// oldest first, with no window filter; out-of-range procs get none.
+  /// With ring_total() this is a forked rank's post-fork tail, which its
+  /// residue carries to the parent (exec/probe.hpp).
+  std::vector<FlightEvent> events_since(int proc, std::uint64_t total) const;
   /// Events ever recorded on `proc`'s ring (0 for out-of-range procs).
   std::uint64_t ring_total(int proc) const;
 

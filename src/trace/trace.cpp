@@ -1,14 +1,14 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <iterator>
 #include <map>
 #include <stdexcept>
 #include <tuple>
-#include <type_traits>
 #include <utility>
+
+#include "trace/blob.hpp"
 
 namespace fxpar::trace {
 
@@ -163,79 +163,17 @@ void TraceRecorder::plan_cache_event(int proc, bool hit) {
   }
 }
 
-namespace {
+// Shard blobs travel between a forked child and its parent, the same
+// binary image: trivially-copyable records ship as raw bytes, and only Span
+// needs per-field treatment for its strings.
 
-// Shard blobs travel between a forked child and its parent — the same
-// binary image — so trivially-copyable records ship as raw bytes; only
-// Span needs per-field treatment for its strings.
-
-void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-template <class T>
-void put(std::vector<std::byte>& out, const T& v) {
-  put_raw(out, &v, sizeof v);
-}
-
-void put_str(std::vector<std::byte>& out, const std::string& s) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  put_raw(out, s.data(), s.size());
-}
-
-template <class T>
-T get(const std::byte* p, std::size_t len, std::size_t& off) {
-  if (sizeof(T) > len - off) {
-    throw std::runtime_error("TraceRecorder::absorb_shard: truncated blob");
-  }
-  T v;
-  std::memcpy(&v, p + off, sizeof v);
-  off += sizeof v;
-  return v;
-}
-
-std::string get_str(const std::byte* p, std::size_t len, std::size_t& off) {
-  const auto n = get<std::uint32_t>(p, len, off);
-  if (n > len - off) {
-    throw std::runtime_error("TraceRecorder::absorb_shard: truncated blob");
-  }
-  std::string s(reinterpret_cast<const char*>(p) + off, n);
-  off += n;
-  return s;
-}
-
-template <class T>
-void put_pod_vec(std::vector<std::byte>& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(v.size()));
-  if (!v.empty()) put_raw(out, v.data(), v.size() * sizeof(T));
-}
-
-template <class T>
-std::vector<T> get_pod_vec(const std::byte* p, std::size_t len, std::size_t& off) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = get<std::uint64_t>(p, len, off);
-  if (n > (len - off) / sizeof(T)) {
-    throw std::runtime_error("TraceRecorder::absorb_shard: truncated blob");
-  }
-  std::vector<T> v(static_cast<std::size_t>(n));
-  if (n != 0) {
-    std::memcpy(v.data(), p + off, static_cast<std::size_t>(n) * sizeof(T));
-    off += static_cast<std::size_t>(n) * sizeof(T);
-  }
-  return v;
-}
-
-}  // namespace
-
-std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
+void TraceRecorder::serialize_shard(int proc, std::vector<std::byte>& out) const {
   if (proc < 0 || proc >= num_procs()) {
     throw std::out_of_range("TraceRecorder::serialize_shard: bad proc");
   }
+  using namespace blob;
   const auto i = static_cast<std::size_t>(proc);
   const Shard& sh = shards_[i];
-  std::vector<std::byte> out;
   put<std::int32_t>(out, proc);
   put<std::uint64_t>(out, static_cast<std::uint64_t>(sh.spans.size()));
   for (const Span& s : sh.spans) {
@@ -256,56 +194,53 @@ std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
     put(out, s.plan_hits);
     put(out, s.plan_misses);
   }
-  put_pod_vec(out, sh.waits);
-  put_pod_vec(out, sh.sends);
-  put_pod_vec(out, sh.recvs);
-  put_pod_vec(out, sh.barriers);
-  put_pod_vec(out, sh.steals);
+  put_vec(out, sh.waits);
+  put_vec(out, sh.sends);
+  put_vec(out, sh.recvs);
+  put_vec(out, sh.barriers);
+  put_vec(out, sh.steals);
   put(out, totals_[i]);
   put(out, placements_[i]);
   put(out, last_activity_[i]);
-  return out;
 }
 
-void TraceRecorder::absorb_shard(const std::byte* data, std::size_t len) {
-  std::size_t off = 0;
-  const auto proc = get<std::int32_t>(data, len, off);
+void TraceRecorder::absorb_shard(blob::Reader& in) {
+  const auto proc = in.get<std::int32_t>();
   if (proc < 0 || proc >= num_procs()) {
     throw std::out_of_range("TraceRecorder::absorb_shard: bad proc in blob");
   }
   const auto i = static_cast<std::size_t>(proc);
-  const auto n_spans = get<std::uint64_t>(data, len, off);
+  const auto n_spans = in.get<std::uint64_t>();
   Shard sh;
-  sh.spans.reserve(static_cast<std::size_t>(n_spans));
   for (std::uint64_t k = 0; k < n_spans; ++k) {
     Span s;
-    s.proc = get<std::int32_t>(data, len, off);
-    s.depth = get<std::int32_t>(data, len, off);
-    s.t0 = get<double>(data, len, off);
-    s.t1 = get<double>(data, len, off);
-    s.name = get_str(data, len, off);
-    s.category = get_str(data, len, off);
-    s.busy = get<double>(data, len, off);
-    s.recv_wait = get<double>(data, len, off);
-    s.barrier_wait = get<double>(data, len, off);
-    s.io_wait = get<double>(data, len, off);
-    s.messages = get<std::uint64_t>(data, len, off);
-    s.bytes = get<std::uint64_t>(data, len, off);
-    s.steals = get<std::uint64_t>(data, len, off);
-    s.stolen_iters = get<std::uint64_t>(data, len, off);
-    s.plan_hits = get<std::uint64_t>(data, len, off);
-    s.plan_misses = get<std::uint64_t>(data, len, off);
+    s.proc = in.get<std::int32_t>();
+    s.depth = in.get<std::int32_t>();
+    s.t0 = in.get<double>();
+    s.t1 = in.get<double>();
+    s.name = in.str();
+    s.category = in.str();
+    s.busy = in.get<double>();
+    s.recv_wait = in.get<double>();
+    s.barrier_wait = in.get<double>();
+    s.io_wait = in.get<double>();
+    s.messages = in.get<std::uint64_t>();
+    s.bytes = in.get<std::uint64_t>();
+    s.steals = in.get<std::uint64_t>();
+    s.stolen_iters = in.get<std::uint64_t>();
+    s.plan_hits = in.get<std::uint64_t>();
+    s.plan_misses = in.get<std::uint64_t>();
     sh.spans.push_back(std::move(s));
   }
-  sh.waits = get_pod_vec<Wait>(data, len, off);
-  sh.sends = get_pod_vec<MessageRecord>(data, len, off);
-  sh.recvs = get_pod_vec<RecvNote>(data, len, off);
-  sh.barriers = get_pod_vec<BarrierNote>(data, len, off);
-  sh.steals = get_pod_vec<StealRecord>(data, len, off);
+  sh.waits = in.vec<Wait>();
+  sh.sends = in.vec<MessageRecord>();
+  sh.recvs = in.vec<RecvNote>();
+  sh.barriers = in.vec<BarrierNote>();
+  sh.steals = in.vec<StealRecord>();
   shards_[i] = std::move(sh);
-  totals_[i] = get<ProcTotals>(data, len, off);
-  placements_[i] = get<PlacementRecord>(data, len, off);
-  last_activity_[i] = std::max(last_activity_[i], get<double>(data, len, off));
+  totals_[i] = in.get<ProcTotals>();
+  placements_[i] = in.get<PlacementRecord>();
+  last_activity_[i] = std::max(last_activity_[i], in.get<double>());
 }
 
 std::int64_t TraceRecorder::add_wait(int proc, WaitKind kind, double t0, double t1,

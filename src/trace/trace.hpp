@@ -36,6 +36,10 @@
 
 namespace fxpar::trace {
 
+namespace blob {
+class Reader;
+}
+
 /// Why a processor was off the (modeled) CPU.
 enum class WaitKind : std::uint8_t { Recv, Barrier, Io };
 
@@ -214,16 +218,16 @@ class TraceRecorder {
   // ---- cross-process shard shipping (proc backend) ----
   //
   // A forked child records into its copy-on-write shard like any rank; at
-  // body end it serializes its rank's state (the shard plus its per-proc
-  // totals, placement and last-activity stamp) and ships the bytes to the
-  // parent, which absorbs them before finalize(). Absorbing *assigns* the
+  // body end its residue (exec/probe.hpp) carries its rank's state (the
+  // shard plus its per-proc totals, placement and last-activity stamp) to
+  // the parent, which absorbs it before finalize(). Absorbing *assigns* the
   // rank's state — correct because only the owning process records for it.
 
-  /// Serializes rank `proc`'s recorded state.
-  std::vector<std::byte> serialize_shard(int proc) const;
-  /// Installs a blob produced by serialize_shard() in a (forked) copy of
+  /// Appends rank `proc`'s recorded state to `out`.
+  void serialize_shard(int proc, std::vector<std::byte>& out) const;
+  /// Installs a shard written by serialize_shard() in a (forked) copy of
   /// this recorder; the rank is read from the blob.
-  void absorb_shard(const std::byte* data, std::size_t len);
+  void absorb_shard(blob::Reader& in);
 
   /// Closes any still-open spans at `finish`, freezes the run's completion
   /// time and merges every rank's shard into the records below. Call once

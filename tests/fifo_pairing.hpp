@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -38,7 +39,20 @@ inline fxpar::machine::Payload fifo_payload(int src, std::uint64_t tag, int k) {
   return p;
 }
 
-/// Rank 0 sends three tag-A and then two tag-B messages to rank 1; rank 2
+/// Returns once rank `r` is parked in a receive, so the next message sent
+/// to it ends a wait. On the real-time backends a receive whose message is
+/// already queued records no wait; a sim receive waits for the message's
+/// modeled arrival anyway, so there it returns at once.
+inline void await_parked(fxpar::machine::Context& ctx, int r) {
+  const auto& backend = ctx.machine().backend();
+  if (backend.kind() == fxpar::exec::BackendKind::Sim) return;
+  while (backend.introspect().workers[static_cast<std::size_t>(r)].state != "parked") {
+    std::this_thread::yield();
+  }
+}
+
+/// Rank 0 sends three tag-A messages to rank 1, waits until rank 1 is
+/// blocked in its first receive, then sends two tag-B messages; rank 2
 /// sends two tag-A messages to rank 1. Rank 1 receives tag B before tag A
 /// and leaves rank 0's third tag-A message unreceived. A wrong payload
 /// throws, which fails the run.
@@ -46,6 +60,7 @@ inline void fifo_pairing_program(fxpar::machine::Context& ctx) {
   const int r = ctx.phys_rank();
   if (r == 0) {
     for (int k = 0; k < 3; ++k) ctx.send_phys(1, kFifoTagA, fifo_payload(0, kFifoTagA, k));
+    await_parked(ctx, 1);
     for (int k = 0; k < 2; ++k) ctx.send_phys(1, kFifoTagB, fifo_payload(0, kFifoTagB, k));
   } else if (r == 2) {
     for (int k = 0; k < 2; ++k) ctx.send_phys(1, kFifoTagA, fifo_payload(2, kFifoTagA, k));

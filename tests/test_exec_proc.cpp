@@ -3,8 +3,9 @@
 // run's start, so whatever a run leaves behind — an unreceived message, a
 // streamed frame cut off by an exception or a killed child — must never
 // reach the next run. Also: sends to a rank that already finished, the
-// child-death diagnostics, and that many runs hold descriptors and mappings
-// steady.
+// child-death diagnostics, that many runs hold descriptors and mappings
+// steady, and that instrumentation recorded in forked ranks reaches the
+// parent.
 //
 // Every test forks; fork-per-rank is incompatible with ThreadSanitizer, so
 // all of them self-skip under TSan.
@@ -14,16 +15,23 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/ffthist.hpp"
 #include "apps/stream_pipeline.hpp"
+#include "comm/collectives.hpp"
+#include "dist/redistribute.hpp"
 #include "fifo_pairing.hpp"
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
@@ -52,8 +60,10 @@
 #endif
 
 namespace ap = fxpar::apps;
+namespace ds = fxpar::dist;
 namespace ex = fxpar::exec;
 namespace mx = fxpar::machine;
+namespace obs = fxpar::obs;
 using fxpar::MachineConfig;
 
 namespace {
@@ -361,4 +371,138 @@ TEST(ExecProc, ManyRunsHoldFdsAndMappingsSteady) {
 #endif
   }
   EXPECT_TRUE(own_shm_entries().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Instrumentation through the probe, across backends and the fork
+
+namespace {
+
+/// Rank 1 receives one message sent before a shared barrier, then one sent
+/// well after it posted the receive.
+void queued_then_awaited(mx::Context& ctx) {
+  if (ctx.phys_rank() == 0) {
+    ctx.send_phys(1, 1, stamp(0, 1, 8));
+    ctx.barrier();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ctx.send_phys(1, 2, stamp(0, 2, 8));
+  } else {
+    ctx.barrier();
+    (void)ctx.recv_phys(0, 1);
+    (void)ctx.recv_phys(0, 2);
+  }
+}
+
+/// Point-to-point messages, a collective, a redistribution (twice, so the
+/// plan cache hits), a singleton-group barrier and an I/O operation.
+void every_service(mx::Context& ctx) {
+  const int r = ctx.phys_rank();
+  const int p = ctx.nprocs();
+  ctx.send_phys((r + 1) % p, 7, stamp(r, 0, 64));
+  (void)ctx.recv_phys((r + p - 1) % p, 7);
+  (void)fxpar::comm::allreduce(ctx, ctx.group(), 1.0, [](double a, double b) { return a + b; });
+  const auto g = ctx.group();
+  ds::DistArray<double> a(ctx, ds::Layout(g, {64}, {ds::DimDist::block()}), "a");
+  ds::DistArray<double> b(ctx, ds::Layout(g, {64}, {ds::DimDist::cyclic()}), "b");
+  a.fill([](std::span<const std::int64_t> gi) { return static_cast<double>(gi[0]); });
+  ds::assign(ctx, b, a);
+  ds::assign(ctx, b, a);
+  ctx.barrier(fxpar::pgroup::ProcessorGroup({r}));
+  ctx.io(128);
+  ctx.barrier();
+}
+
+}  // namespace
+
+// A receive whose message was already queued when it was posted records no
+// wait, in the trace or in the recv-wait histogram (it observes 0); the one
+// that had to wait for its send records exactly one trace wait, caused by
+// that send.
+TEST(Probe, QueuedReceiveRecordsNoWait) {
+  FXPAR_SKIP_PROC_UNDER_TSAN();
+  const HangGuard guard(60);
+  auto threads = MachineConfig::paragon(2);
+  threads.backend = ex::BackendKind::Threads;
+  auto shm = processes(ex::TransportKind::Shm);
+  shm.num_procs = 2;
+  for (MachineConfig cfg : {threads, shm}) {
+    SCOPED_TRACE(ex::backend_kind_name(cfg.backend));
+    cfg.trace = true;
+    mx::Machine m(cfg);
+    mx::RunResult res;
+    ASSERT_NO_THROW(res = m.run(queued_then_awaited));
+    ASSERT_NE(res.trace, nullptr);
+    int recv_waits = 0;
+    for (const auto& w : res.trace->waits()) {
+      if (w.kind != fxpar::trace::WaitKind::Recv) continue;
+      ++recv_waits;
+      EXPECT_EQ(w.proc, 1);
+      EXPECT_EQ(w.cause_proc, 0);
+      ASSERT_GE(w.ref, 1u);
+      EXPECT_EQ(res.trace->messages()[w.ref - 1].tag, 2u) << "caused by the second send";
+    }
+    EXPECT_EQ(recv_waits, 1);
+    ASSERT_NE(res.metrics, nullptr);
+    const auto& h = res.metrics->histograms.at("fxpar_comm_recv_wait_seconds");
+    EXPECT_EQ(h.count, 2u);
+    EXPECT_EQ(h.buckets[0], 1u) << "the queued receive observes 0";
+  }
+}
+
+// Counters and events recorded in forked ranks reach the parent: the same
+// program yields the same metric totals on all four engines, and the
+// parent's flight recorder holds every rank's sends, receives and barriers.
+TEST(Probe, InstrumentationSurvivesTheFork) {
+  FXPAR_SKIP_PROC_UNDER_TSAN();
+  const HangGuard guard(120);
+  auto sim = MachineConfig::paragon(kP);
+  auto threads = sim;
+  threads.backend = ex::BackendKind::Threads;
+  const std::vector<std::pair<std::string, MachineConfig>> engines = {
+      {"sim", sim},
+      {"threads", threads},
+      {"proc-shm", processes(ex::TransportKind::Shm)},
+      {"proc-tcp", processes(ex::TransportKind::Tcp)}};
+  // Plan-cache hits and misses split differently on proc, where each rank
+  // looks up its own copy of the cache; lookups (hits + misses) agree.
+  const auto totals = [](const fxpar::metrics::Snapshot& s) {
+    std::map<std::string, std::uint64_t> t;
+    for (const char* c : {"fxpar_comm_messages_total", "fxpar_comm_message_bytes_total",
+                          "fxpar_sync_barriers_total", "fxpar_io_operations_total"}) {
+      t[c] = s.counter(c);
+    }
+    t["redist plan lookups"] = s.counter("fxpar_dist_plan_cache_hits_total") +
+                               s.counter("fxpar_dist_plan_cache_misses_total");
+    t["collective plan lookups"] = s.counter("fxpar_comm_collective_plan_hits_total") +
+                                   s.counter("fxpar_comm_collective_plan_misses_total");
+    for (const auto& [name, h] : s.histograms) t[name + " observations"] = h.count;
+    return t;
+  };
+  std::map<std::string, std::uint64_t> want;
+  for (auto [label, cfg] : engines) {
+    SCOPED_TRACE(label);
+    cfg.flight_recorder = true;
+    mx::Machine m(cfg);
+    mx::RunResult res;
+    ASSERT_NO_THROW(res = m.run(every_service));
+    ASSERT_NE(res.metrics, nullptr);
+    const auto got = totals(*res.metrics);
+    if (want.empty()) {
+      want = got;
+      EXPECT_EQ(want["fxpar_io_operations_total"], static_cast<std::uint64_t>(kP));
+      EXPECT_GT(want["redist plan lookups"], 0u);
+      EXPECT_GT(want["collective plan lookups"], 0u);
+    } else {
+      EXPECT_EQ(got, want);
+    }
+    ASSERT_NE(m.flight(), nullptr);
+    std::set<std::pair<int, obs::FlightKind>> seen;
+    for (const auto& e : m.flight()->snapshot()) seen.emplace(e.proc, e.kind);
+    for (int r = 0; r < kP; ++r) {
+      for (const auto k : {obs::FlightKind::Message, obs::FlightKind::Recv,
+                           obs::FlightKind::Barrier, obs::FlightKind::Io}) {
+        EXPECT_TRUE(seen.count({r, k})) << "rank " << r << " " << obs::flight_kind_name(k);
+      }
+    }
+  }
 }
