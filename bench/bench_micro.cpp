@@ -6,12 +6,15 @@
 // Besides the google-benchmark suite, `--redist-compare` runs the
 // plan-cache A/B experiment (repeated same-layout transpose, cache on vs
 // off), `--collective-compare` the collective-plan-cache A/B and
-// `--sort-compare` the quicksort leaf kernel against std::sort; each prints
-// a summary and emits --json-out records; see docs/performance.md.
+// `--sort-compare` the quicksort leaf kernel against std::sort and
+// `--qsort-scaling` the nested quicksort's sort phase at p = 1, 2 and 4; each
+// prints a summary and emits --json-out records; see docs/performance.md.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -540,6 +543,79 @@ int run_sort_compare() {
   return identical && sweep_identical ? 0 : 1;
 }
 
+// --qsort-scaling: the nested quicksort's scaling record. parallel_qsort
+// sorts the same 1M qsort_input keys on the threaded backend at p = 1, 2
+// and 4, one Machine per p in this one process. Each run times the sort
+// phase alone (barrier to barrier on rank 0; fill and gather excluded) and
+// checks its output against std::sort. The legs take turns, one run each
+// per round, so a drift in host speed hits all three alike; each keeps its
+// best of 5. The CI perf-smoke job gates the p=4 leg against p=1 from the
+// emitted records.
+int run_qsort_scaling() {
+  const std::int64_t n = std::int64_t{1} << 20;
+  const unsigned seed = 1;
+  constexpr int kReps = 5;
+  constexpr std::array<int, 3> kProcs{1, 2, 4};
+  const auto input = ap::qsort_input(n, seed);
+  auto expect = input;
+  std::sort(expect.begin(), expect.end());
+
+  struct Leg {
+    std::unique_ptr<Machine> machine;
+    double best_ms = 0.0;
+    bool identical = true;
+  };
+  std::array<Leg, kProcs.size()> legs;
+  for (std::size_t i = 0; i < kProcs.size(); ++i) {
+    auto c = MachineConfig::paragon(kProcs[i]);
+    c.backend = exec::BackendKind::Threads;
+    legs[i].machine = std::make_unique<Machine>(c);
+  }
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (Leg& leg : legs) {
+      double phase_ms = 0.0;
+      std::vector<std::int64_t> sorted;
+      leg.machine->run([&](Context& ctx) {
+        ds::DistArray<std::int64_t> a(ctx, ds::Layout(ctx.group(), {n}, {ds::DimDist::block()}),
+                                      "a");
+        a.fill([&](std::span<const std::int64_t> g) {
+          return input[static_cast<std::size_t>(g[0])];
+        });
+        ctx.barrier();
+        const fxbench::HostTimer timer;
+        ap::parallel_qsort(ctx, a);
+        ctx.barrier();
+        if (ctx.phys_rank() == 0) phase_ms = timer.ms();
+        auto full = ds::gather_full(ctx, a, 0);
+        if (ctx.phys_rank() == 0) sorted = std::move(full);
+      });
+      leg.identical = leg.identical && sorted == expect;
+      if (rep == 0 || phase_ms < leg.best_ms) leg.best_ms = phase_ms;
+    }
+  }
+
+  std::printf("nested quicksort scaling (%lld qsort_input keys on threads, sort phase, best of %d)\n",
+              static_cast<long long>(n), kReps);
+  bool all_identical = true;
+  for (std::size_t i = 0; i < kProcs.size(); ++i) {
+    const Leg& leg = legs[i];
+    all_identical = all_identical && leg.identical;
+    const double speedup = leg.best_ms > 0.0 ? legs[0].best_ms / leg.best_ms : 0.0;
+    const std::vector<std::pair<std::string, std::string>> params{
+        {"n", std::to_string(n)},
+        {"seed", std::to_string(seed)},
+        {"procs", std::to_string(kProcs[i])},
+        {"reps", std::to_string(kReps)},
+        {"identical", leg.identical ? "true" : "false"},
+        {"speedup_vs_p1", std::to_string(speedup)}};
+    fxbench::json_record("micro/qsort_scaling/p" + std::to_string(kProcs[i]), params,
+                         leg.best_ms * 1e-3, 1.0, 0, leg.best_ms, 0, 0, "threads", kProcs[i]);
+    std::printf("  p=%d: sort phase %8.2f ms  (%.2fx over p=1)%s\n", kProcs[i], leg.best_ms,
+                speedup, leg.identical ? "" : "  DIFFERS from std::sort");
+  }
+  return all_identical ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -547,6 +623,7 @@ int main(int argc, char** argv) {
   bool compare = false;
   bool collective_compare = false;
   bool sort_compare = false;
+  bool qsort_scaling = false;
   // Strip the fxbench flags before handing the rest to google-benchmark.
   std::vector<char*> gb_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -557,6 +634,8 @@ int main(int argc, char** argv) {
       collective_compare = true;
     } else if (a == "--sort-compare") {
       sort_compare = true;
+    } else if (a == "--qsort-scaling") {
+      qsort_scaling = true;
     } else if (a == "--json-out" || a == "--trace-out" || a == "--backend" ||
                a == "--transport" || a == "--threads" || a == "--work-stealing" ||
                a == "--pinning" || a == "--metrics" || a == "--metrics-out") {
@@ -567,11 +646,12 @@ int main(int argc, char** argv) {
       gb_args.push_back(argv[i]);
     }
   }
-  if (compare || collective_compare || sort_compare) {
+  if (compare || collective_compare || sort_compare || qsort_scaling) {
     int rc = 0;
     if (compare) rc |= run_redist_compare();
     if (collective_compare) rc |= run_collective_compare();
     if (sort_compare) rc |= run_sort_compare();
+    if (qsort_scaling) rc |= run_qsort_scaling();
     return rc;
   }
   int gb_argc = static_cast<int>(gb_args.size());

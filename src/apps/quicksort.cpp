@@ -20,6 +20,8 @@ using machine::Context;
 using pgroup::ProcessorGroup;
 
 constexpr double kClassifyOpsPerElem = 3.0;
+constexpr std::size_t kPivotSamples = 31;   // per member
+constexpr double kSelectOpsPerSample = 2.0;  // nth_element's expected work
 constexpr int kDigitBits = 11;
 constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
 
@@ -114,6 +116,17 @@ void scatter_selected(Context& ctx, const ProcessorGroup& parent,
   }
 }
 
+/// Up to kPivotSamples evenly spaced keys of `block` (the midpoints of
+/// equal strides): a pure function of the block's contents, so every
+/// backend picks the same pivot.
+std::vector<std::int64_t> pivot_sample(std::span<const std::int64_t> block) {
+  const std::size_t m = block.size();
+  const std::size_t k = std::min(kPivotSamples, m);
+  std::vector<std::int64_t> s(k);
+  for (std::size_t i = 0; i < k; ++i) s[i] = block[(2 * i + 1) * m / (2 * k)];
+  return s;
+}
+
 /// Writes `pivot` into the global index range [first, first+count) of `a`
 /// (purely local stores on the owners).
 void write_pivot_range(DistArray<std::int64_t>& a, std::int64_t first, std::int64_t count,
@@ -201,33 +214,42 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
     return;
   }
 
-  // Pick the pivot at the global midpoint and broadcast it.
-  const std::int64_t mid = n / 2;
-  const std::array<std::int64_t, 1> mid_idx{mid};
-  const int pivot_owner = a.layout().owner_of(mid_idx);
-  const std::int64_t pivot = comm::broadcast(
-      ctx, g, pivot_owner, a.owns(mid_idx) ? a.at(mid) : std::int64_t{0});
-
-  // Classify local elements (order-preserving) into one exactly sized
-  // pooled block: count first, then fill — the less keys, then the greater.
+  // Pick the pivot as the median of every member's evenly spaced samples:
+  // gathered at virtual rank 0, selected there and broadcast.
   const std::span<const std::int64_t> mine = a.local();
+  std::vector<std::int64_t> samples = comm::gather_vectors(ctx, g, 0, pivot_sample(mine));
+  std::int64_t median = 0;
+  if (!samples.empty()) {  // non-empty exactly at the root: n > 1 keys exist
+    const auto mid = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+    std::nth_element(samples.begin(), mid, samples.end());
+    median = *mid;
+    ctx.charge_int_ops(kSelectOpsPerSample * static_cast<double>(samples.size()));
+  }
+  const std::int64_t pivot = comm::broadcast(ctx, g, 0, median);
+
+  // Classify local elements (order-preserving) into one pooled block: count
+  // first, then fill — the less keys, then the greater. Each side has one
+  // slack slot past its end, so the fill stores every key at both sides'
+  // next index and advances each index by its comparison: no data-dependent
+  // branch. (With pointer cursors GCC merged the two exclusive comparisons
+  // back into one branch.)
   std::size_t nl = 0, ng = 0;
   for (const std::int64_t v : mine) {
     nl += v < pivot;
     ng += v > pivot;
   }
-  PooledScratch selected(ctx.machine(), (nl + ng) * sizeof(std::int64_t));
-  std::int64_t* const sel = selected.array<std::int64_t>(0, nl + ng);
-  const std::span<std::int64_t> less(sel, nl);
-  const std::span<std::int64_t> greater(sel + nl, ng);
+  PooledScratch selected(ctx.machine(), (nl + ng + 2) * sizeof(std::int64_t));
+  std::int64_t* const lo = selected.array<std::int64_t>(0, nl + ng + 2);
+  std::int64_t* const hi = lo + nl + 1;
   std::size_t il = 0, ig = 0;
   for (const std::int64_t v : mine) {
-    if (v < pivot) {
-      less[il++] = v;
-    } else if (v > pivot) {
-      greater[ig++] = v;
-    }
+    lo[il] = v;
+    hi[ig] = v;
+    il += v < pivot;
+    ig += v > pivot;
   }
+  const std::span<std::int64_t> less(lo, nl);
+  const std::span<std::int64_t> greater(hi, ng);
   const auto eq = static_cast<std::int64_t>(mine.size() - nl - ng);
   ctx.charge_int_ops(kClassifyOpsPerElem * static_cast<double>(mine.size()));
 

@@ -2,13 +2,16 @@
 // (paper Section 3.4, Figure 4).
 //
 // The array is block-distributed over the current processors. Each level
-// picks a pivot, counts elements below/equal/above it, sizes two subgroups
-// proportionally (compute_subgroup_sizes), redistributes the elements into
-// subgroup-mapped arrays (pick_less_than_pivot / pick_greater_...), recurses
-// inside ON SUBGROUP blocks — each recursion declaring a new TASK_PARTITION
-// of its own subgroup — and merges the sorted pieces back (merge_result).
-// Elements equal to the pivot are written in place, which guarantees
-// termination with duplicate keys.
+// picks a pivot — the median of up to 31 evenly spaced keys from every
+// member's block, gathered at virtual rank 0 and broadcast — counts
+// elements below/equal/above it, sizes two subgroups proportionally
+// (compute_subgroup_sizes), redistributes the elements into subgroup-mapped
+// arrays (pick_less_than_pivot / pick_greater_...), recurses inside ON
+// SUBGROUP blocks — each recursion declaring a new TASK_PARTITION of its own
+// subgroup — and merges the sorted pieces back (merge_result). Elements
+// equal to the pivot are written in place, which guarantees termination
+// with duplicate keys. The sample depends only on the blocks' contents, so
+// every backend picks the same pivots.
 #pragma once
 
 #include <cstddef>

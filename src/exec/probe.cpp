@@ -12,6 +12,9 @@ using namespace trace::blob;
 
 Probe::Baseline Probe::baseline(int rank) const {
   Baseline b;
+  if (counters) {
+    for (std::size_t i = 0; i < RunCounters::kSlots; ++i) b.counters[i] = counters->get(i);
+  }
   if (metrics) b.metrics = metrics->registry.snapshot();
   if (flight) b.flight_total = flight->ring_total(rank);
   return b;
@@ -20,6 +23,11 @@ Probe::Baseline Probe::baseline(int rank) const {
 std::vector<std::byte> Probe::residue(int rank, const Baseline& base) const {
   std::vector<std::byte> out;
   // Each section is present exactly when its sink is on, on both sides.
+  if (counters) {
+    std::array<std::uint64_t, RunCounters::kSlots> delta{};
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] = counters->get(i) - base.counters[i];
+    put(out, delta);
+  }
   if (metrics) {
     const metrics::Snapshot end = metrics->registry.snapshot();
     // Section layout: [u32 counters][u32 histograms], then the entries that
@@ -58,6 +66,10 @@ std::vector<std::byte> Probe::residue(int rank, const Baseline& base) const {
 
 void Probe::absorb(const std::vector<std::byte>& residue) const {
   Reader in(residue.data(), residue.size());
+  if (counters) {
+    const auto delta = in.get<std::array<std::uint64_t, RunCounters::kSlots>>();
+    for (std::size_t i = 0; i < delta.size(); ++i) counters->add(i, delta[i]);
+  }
   if (metrics) {
     const auto counts = in.get<std::array<std::uint32_t, 2>>();
     for (std::uint32_t i = 0; i < counts[0]; ++i) {

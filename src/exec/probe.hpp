@@ -13,6 +13,7 @@
 //   io        an I/O operation     (a backend's io_operation)
 //   steal     a stolen loop chunk  (the threaded backend's run_chunks)
 //   plan      a plan-cache lookup  (Machine::count_plan)
+//   spill     a pool buffer spilled (Machine's pool release)
 //   span      a named span opened  (Context::span)
 //
 // The caller passes the timestamps it already took for its own work, so
@@ -20,12 +21,18 @@
 // recorder). With every sink off, a method costs one pointer test per sink
 // it feeds.
 //
+// A fourth, always-on sink holds the RunResult counters that count whether
+// or not metrics are on (plan-cache lookups and pool spills).
+//
 // The probe also owns the residue format of a forked rank (proc backend):
-// what the child's sinks recorded after the fork — metric deltas, its trace
-// shard and its flight-ring tail — travels to the parent as one opaque
-// blob (the payload of the child's Done frame) and is absorbed there.
+// what the child's sinks recorded after the fork — its RunResult counter
+// deltas, metric deltas, its trace shard and its flight-ring tail — travels
+// to the parent as one opaque blob (the payload of the child's Done frame)
+// and is absorbed there.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -44,10 +51,31 @@ enum class PlanKind : std::uint8_t {
   Collective,  ///< comm/collective_plan.hpp collective schedules
 };
 
+/// The RunResult counters kept whether or not metrics are on: plan-cache
+/// lookups per (kind, hit) and pool spills. Atomic: on the concurrent
+/// backends every worker counts at once.
+struct RunCounters {
+  static constexpr std::size_t kSlots = 5;
+  static constexpr std::size_t kSpills = 4;  ///< slots 0-3 are plan_slot()s
+  static constexpr std::size_t plan_slot(PlanKind kind, bool hit) noexcept {
+    return 2 * static_cast<std::size_t>(kind) + (hit ? 1 : 0);
+  }
+
+  std::array<std::atomic<std::uint64_t>, kSlots> slots{};
+
+  void add(std::size_t slot, std::uint64_t n = 1) noexcept {
+    slots[slot].fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t get(std::size_t slot) const noexcept {
+    return slots[slot].load(std::memory_order_relaxed);
+  }
+};
+
 struct Probe {
   trace::TraceRecorder* trace = nullptr;
   metrics::RuntimeMetrics* metrics = nullptr;
   obs::FlightRecorder* flight = nullptr;
+  RunCounters* counters = nullptr;
 
   /// `src` deposited `bytes` for `dst` over the send interval [t0, t1].
   void sent(int src, int dst, std::uint64_t tag, std::size_t bytes, double t0,
@@ -115,6 +143,7 @@ struct Probe {
 
   /// A `kind` plan-cache hit or miss observed by `rank`.
   void plan(int rank, PlanKind kind, bool hit) const {
+    if (counters) counters->add(RunCounters::plan_slot(kind, hit));
     if (metrics) {
       metrics::Counter* const counters[2][2] = {
           {metrics->plan_misses, metrics->plan_hits},
@@ -122,6 +151,12 @@ struct Probe {
       counters[static_cast<int>(kind)][hit ? 1 : 0]->add(rank);
     }
     if (trace) trace->plan_cache_event(rank, hit);
+  }
+
+  /// A pool release by `rank` overflowed its shard onto the spill list.
+  void spill(int rank) const {
+    if (counters) counters->add(RunCounters::kSpills);
+    if (metrics) metrics->pool_spills->add(rank);
   }
 
   /// Opens span `name` on `rank`'s timeline; the guard closes it. `now()`
@@ -139,14 +174,16 @@ struct Probe {
   /// What the sinks held when a child forked: its residue is what it
   /// recorded past this point.
   struct Baseline {
+    std::array<std::uint64_t, RunCounters::kSlots> counters{};
     metrics::Snapshot metrics;
     std::uint64_t flight_total = 0;
   };
   Baseline baseline(int rank) const;
 
-  /// Serializes what `rank` recorded since `base`: the delta of every
-  /// counter and histogram (gauges are driver-side values and stay put),
-  /// its trace shard, and its flight-ring events past the fork.
+  /// Serializes what `rank` recorded since `base`: its RunResult counter
+  /// deltas, the delta of every metric counter and histogram (gauges are
+  /// driver-side values and stay put), its trace shard, and its flight-ring
+  /// events past the fork.
   std::vector<std::byte> residue(int rank, const Baseline& base) const;
 
   /// Parent side: applies a child's residue blob to these sinks, which are

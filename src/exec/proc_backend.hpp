@@ -32,10 +32,10 @@
 //
 // Observability across the fork: a finishing child writes its counters
 // into the control block, then sends rank 0 one Done frame whose payload
-// is its residue (exec/probe.hpp: metric deltas, trace shard and flight
-// events, one opaque blob); the parent absorbs it post-join so RunResult
-// snapshots, traces and /trace dumps look the same as on the threaded
-// path.
+// is its residue (exec/probe.hpp: RunResult counter and metric deltas,
+// trace shard and flight events, one opaque blob); the parent absorbs it
+// post-join so RunResult counters and snapshots, traces and /trace dumps
+// look the same as on the threaded path.
 //
 // Run lifetime: the control block and the transport live as long as the
 // backend; a run resets both (Transport::reset() empties every ring or

@@ -60,7 +60,7 @@ Machine::Machine(MachineConfig config) : config_(config) {
     flight_ = std::make_unique<obs::FlightRecorder>(
         config_.num_procs, config_.flight_events, config_.flight_window_s);
   }
-  backend_->set_probe(exec::Probe{tracer_.get(), metrics_.get(), flight_.get()});
+  backend_->set_probe(exec::Probe{tracer_.get(), metrics_.get(), flight_.get(), &counters_});
   if (config_.obs_port >= 0) {
     endpoint_ = std::make_unique<obs::Endpoint>();
     endpoint_->handle("/metrics", "text/plain; version=0.0.4", [this] {
@@ -100,9 +100,9 @@ int calling_rank(const exec::Backend& backend) noexcept {
 }  // namespace
 
 void Machine::count_plan(PlanKind kind, bool hit) noexcept {
-  stat_plans_[static_cast<std::size_t>(kind)][hit ? 1 : 0].fetch_add(1, std::memory_order_relaxed);
-  // Metric shard: the calling rank, or 0 on the driver thread.
-  if (metrics_ || tracer_) backend_->probe().plan(std::max(0, calling_rank(*backend_)), kind, hit);
+  // Metric shard and trace timeline: the calling rank, or 0 on the driver
+  // thread (only looked up when a sink uses it).
+  backend_->probe().plan(metrics_ || tracer_ ? std::max(0, calling_rank(*backend_)) : 0, kind, hit);
 }
 
 std::size_t Machine::next_cache_slot() {
@@ -113,11 +113,6 @@ std::size_t Machine::next_cache_slot() {
 }
 
 int Machine::pool_rank() const noexcept { return calling_rank(*backend_); }
-
-void Machine::count_pool_spill(int rank) noexcept {
-  stat_pool_spills_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_) metrics_->pool_spills->add(rank);
-}
 
 Machine::~Machine() {
   // Stop the server thread before any member it reads is torn down.
@@ -192,13 +187,13 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
   res.host_ms = std::chrono::duration<double, std::milli>(host_t1 - host_t0).count();
   res.wait_ms = bs.wait_ms;
   const auto plans = [this](PlanKind k, bool hit) {
-    return stat_plans_[static_cast<std::size_t>(k)][hit ? 1 : 0].load(std::memory_order_relaxed);
+    return counters_.get(exec::RunCounters::plan_slot(k, hit));
   };
   res.plan_cache_hits = plans(PlanKind::Redist, true);
   res.plan_cache_misses = plans(PlanKind::Redist, false);
   res.collective_plan_hits = plans(PlanKind::Collective, true);
   res.collective_plan_misses = plans(PlanKind::Collective, false);
-  res.pool_spills = stat_pool_spills_.load(std::memory_order_relaxed);
+  res.pool_spills = pool_spill_count();
   res.pinning = exec::pin_policy_name(config_.pinning);
   res.numa_nodes = bs.numa_nodes;
   res.traffic = bs.traffic;

@@ -222,10 +222,9 @@ class Machine {
     return static_cast<T&>(*c);
   }
 
-  /// Bumps the `kind` hit/miss counters reported through RunResult, and
-  /// reports the lookup through the probe (the metrics registry and the
-  /// calling processor's open trace spans). Atomic: on the concurrent
-  /// backends every worker counts at once.
+  /// Reports a `kind` hit or miss through the probe: the counters that
+  /// RunResult reports, the metrics registry and the calling processor's
+  /// open trace spans.
   void count_plan(PlanKind kind, bool hit) noexcept;
 
   /// The plan caches' memo step, called under the cache's own lock:
@@ -274,7 +273,7 @@ class Machine {
   /// Releases that overflowed a worker shard onto the shared spill list
   /// (cumulative; also exported as fxpar_machine_pool_spills_total).
   std::uint64_t pool_spill_count() const noexcept {
-    return stat_pool_spills_.load(std::memory_order_relaxed);
+    return counters_.get(exec::RunCounters::kSpills);
   }
 
   // ---- typed double-vector scratch pool ----
@@ -364,9 +363,8 @@ class Machine {
   template <class V>
   void release_to(Pool<V>& pool, V&& v) {
     const int rank = pool_rank();
-    if (pool.release(rank, std::move(v))) count_pool_spill(rank);
+    if (pool.release(rank, std::move(v))) backend_->probe().spill(rank);
   }
-  void count_pool_spill(int rank) noexcept;
   static std::size_t next_cache_slot();
 
   /// True when any observability feature that wants failure bundles on
@@ -407,9 +405,9 @@ class Machine {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  ///< guarded by watchdog_mu_
 
-  /// Plan-cache counters, [PlanKind][hit].
-  std::array<std::array<std::atomic<std::uint64_t>, 2>, 2> stat_plans_{};
-  std::atomic<std::uint64_t> stat_pool_spills_{0};
+  /// RunResult's plan-cache and pool-spill counters, fed through the probe
+  /// (a forked rank's counts arrive in its residue).
+  exec::RunCounters counters_;
 
   static constexpr std::size_t kCacheSlots = 4;
   std::mutex cache_mu_;

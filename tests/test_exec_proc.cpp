@@ -506,3 +506,37 @@ TEST(Probe, InstrumentationSurvivesTheFork) {
     }
   }
 }
+
+// RunResult's plan-cache lookups count a forked rank's lookups too, with the
+// metrics registry on or off: the counts ride in the child's residue, so
+// proc reports what threads reports.
+TEST(Probe, RunResultCountersSurviveTheFork) {
+  FXPAR_SKIP_PROC_UNDER_TSAN();
+  const HangGuard guard(120);
+  auto threads = MachineConfig::paragon(kP);
+  threads.backend = ex::BackendKind::Threads;
+  const std::vector<std::pair<std::string, MachineConfig>> engines = {
+      {"threads", threads},
+      {"proc-shm", processes(ex::TransportKind::Shm)},
+      {"proc-tcp", processes(ex::TransportKind::Tcp)}};
+  for (const bool metrics : {true, false}) {
+    std::pair<std::uint64_t, std::uint64_t> want;
+    for (auto [label, cfg] : engines) {
+      SCOPED_TRACE(label + (metrics ? ", metrics on" : ", metrics off"));
+      cfg.metrics = metrics;
+      mx::Machine m(cfg);
+      mx::RunResult res;
+      ASSERT_NO_THROW(res = m.run(every_service));
+      const std::pair<std::uint64_t, std::uint64_t> lookups{
+          res.plan_cache_hits + res.plan_cache_misses,
+          res.collective_plan_hits + res.collective_plan_misses};
+      if (label == "threads") {
+        want = lookups;
+        EXPECT_EQ(want.first, 2u * kP) << "two redistributions on every rank";
+        EXPECT_GT(want.second, 0u);
+      } else {
+        EXPECT_EQ(lookups, want);
+      }
+    }
+  }
+}
