@@ -36,7 +36,6 @@ struct Options {
   std::string backend = "sim";  ///< --backend sim|threads|proc : execution engine
   std::string transport = "shm";  ///< --transport shm|tcp : proc-backend message fabric
   int threads = 0;           ///< --threads N        : logical processors (0 = bench default)
-  int work_stealing = -1;    ///< --work-stealing on|off (-1 = config default)
   std::string pinning;       ///< --pinning none|compact|scatter|numa ("" = config default)
   int metrics = -1;          ///< --metrics on|off (-1 = config default, which is on)
   std::string metrics_out;   ///< --metrics-out FILE : final metrics snapshot
@@ -148,16 +147,6 @@ inline void init(int argc, char** argv) {
       // `--threads 0` (or a negative/garbled count) is always a mistake that
       // must not silently fall back to the bench's own default.
       o.threads = static_cast<int>(parse_int_flag("--threads", value("--threads"), 1, 4096));
-    } else if (a == "--work-stealing") {
-      const std::string v = value("--work-stealing");
-      if (v == "on") {
-        o.work_stealing = 1;
-      } else if (v == "off") {
-        o.work_stealing = 0;
-      } else {
-        std::fprintf(stderr, "--work-stealing must be 'on' or 'off', got '%s'\n", v.c_str());
-        std::exit(2);
-      }
     } else if (a == "--pinning") {
       o.pinning = value("--pinning");
       fxpar::exec::PinPolicy parsed;
@@ -210,9 +199,6 @@ inline void init(int argc, char** argv) {
                   "  --threads N         logical processor count override (threads and proc\n"
                   "                      backends run one OS thread/process per logical\n"
                   "                      processor)\n"
-                  "  --work-stealing on|off\n"
-                  "                      intra-subgroup loop work stealing (threads backend;\n"
-                  "                      default: MachineConfig::work_stealing)\n"
                   "  --pinning none|compact|scatter|numa\n"
                   "                      worker-thread placement policy (threads backend;\n"
                   "                      default none; see docs/performance.md)\n"
@@ -240,12 +226,12 @@ inline void require_sim_backend(const char* bench, const char* why) {
   std::exit(2);
 }
 
-/// Copy of `cfg` with the CLI's tuning flags applied (--work-stealing,
-/// --pinning, --metrics) but the backend/processor count untouched, for
-/// benches that drive several backends from one binary (bench_exec).
+/// Copy of `cfg` with the CLI's tuning flags applied (--pinning,
+/// --metrics, --obs-port, --flight-recorder) but the backend/processor
+/// count untouched, for benches that drive several backends from one
+/// binary (bench_exec).
 inline fxpar::machine::MachineConfig apply_tuning(fxpar::machine::MachineConfig cfg) {
   const Options& o = options();
-  if (o.work_stealing >= 0) cfg.work_stealing = o.work_stealing != 0;
   if (!o.pinning.empty()) {
     fxpar::exec::PinPolicy parsed;
     if (fxpar::exec::parse_pin_policy(o.pinning, parsed)) cfg.pinning = parsed;
@@ -393,8 +379,7 @@ class HostTimer {
 /// "efficiency":..., "comm_bytes":...} to the --json-out sink. No-op when
 /// --json-out was not given. `host_ms` >= 0 adds a "host_ms" field (host
 /// wall-clock of the run, from HostTimer); nonzero plan-cache counters add
-/// "plan_cache_hits"/"plan_cache_misses"; `steals` >= 0 adds the
-/// work-stealing counters (threads backend). Non-finite time_s/efficiency/
+/// "plan_cache_hits"/"plan_cache_misses". Non-finite time_s/efficiency/
 /// host_ms/wait_ms values are emitted as `null` so the line stays valid
 /// JSON.
 inline void json_record(const std::string& name,
@@ -403,7 +388,6 @@ inline void json_record(const std::string& name,
                         double host_ms = -1.0, std::uint64_t plan_hits = 0,
                         std::uint64_t plan_misses = 0, const std::string& backend = "sim",
                         int threads = 0, double wait_ms = -1.0,
-                        std::int64_t steals = -1, std::int64_t stolen_iters = -1,
                         const std::string& pinning = std::string(),
                         const std::vector<int>& numa_nodes = std::vector<int>(),
                         const std::string& transport = std::string()) {
@@ -432,9 +416,6 @@ inline void json_record(const std::string& name,
     *out << ",\"wait_ms\":";
     detail::write_json_number(*out, wait_ms, "%.6g");
   }
-  if (steals >= 0) {
-    *out << ",\"steals\":" << steals << ",\"stolen_iters\":" << stolen_iters;
-  }
   if (plan_hits + plan_misses > 0) {
     *out << ",\"plan_cache_hits\":" << plan_hits << ",\"plan_cache_misses\":" << plan_misses;
   }
@@ -460,7 +441,7 @@ inline void json_record(const std::string& name,
 /// Convenience overload taking the machine counters directly. Records which
 /// backend executed the run; on the real (threads / proc) backends it also
 /// records the worker count and total real blocked time, on threads the
-/// work-stealing counters, and on proc the transport the run crossed.
+/// pinning policy, and on proc the transport the run crossed.
 inline void json_record(const std::string& name,
                         const std::vector<std::pair<std::string, std::string>>& params,
                         const fxpar::machine::RunResult& res, double host_ms = -1.0) {
@@ -470,8 +451,6 @@ inline void json_record(const std::string& name,
               res.plan_cache_hits, res.plan_cache_misses, res.backend,
               threaded || proc ? static_cast<int>(res.clocks.size()) : 0,
               threaded || proc ? res.wait_ms : -1.0,
-              threaded ? static_cast<std::int64_t>(res.steals) : -1,
-              threaded ? static_cast<std::int64_t>(res.stolen_iters) : -1,
               threaded ? res.pinning : std::string(), res.numa_nodes,
               proc ? options().transport : std::string());
 }

@@ -7,7 +7,7 @@
 // host its host_ms shows real parallel speedup.
 //
 //   bench_exec [--threads N] [--sets K (1..100000)] [--pinning POLICY]
-//              [--work-stealing on|off] [--metrics on|off] [--json-out FILE|-]
+//              [--metrics on|off] [--json-out FILE|-]
 //              [--flight-compare] [--obs-port N] [--flight-recorder on|off]
 //              [--backend proc --transport shm|tcp] [--run-overhead]
 //
@@ -31,7 +31,6 @@
 
 #include "apps/stream_pipeline.hpp"
 #include "bench/bench_common.hpp"
-#include "core/parallel_loop.hpp"
 
 using namespace fxpar;
 namespace ap = fxpar::apps;
@@ -98,43 +97,6 @@ ExecRun run_pipeline(exec::BackendKind kind, int procs, int sets) {
   out.host_ms = (kind == exec::BackendKind::Sim) ? timer.ms()
                                                  : out.stats.machine_result.host_ms;
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Imbalanced-loop A/B: work stealing on vs off.
-//
-// Every heavy iteration lands in the first quarter of the index space —
-// i.e. entirely inside proc 0's static block — so without stealing the
-// other workers idle while proc 0 grinds, and with stealing they drain
-// chunks of proc 0's deque. The perf-smoke CI gate asserts the stealing
-// run beats the static run by >= 1.3x host time on 4 threads; here we also
-// verify the outputs are bit-identical (the determinism contract).
-
-constexpr std::int64_t kImbN = 1 << 15;  // loop iterations
-constexpr int kHeavyReps = 24;           // heavy() calls per hot iteration
-
-struct ImbalanceRun {
-  machine::RunResult res;
-  std::vector<double> out;
-};
-
-ImbalanceRun run_imbalanced(exec::BackendKind kind, int procs, bool stealing) {
-  auto cfg = fxbench::apply_tuning(MachineConfig::paragon(procs));
-  cfg.backend = kind;
-  cfg.work_stealing = stealing;  // the A/B legs own this toggle, not the CLI
-  machine::Machine m(cfg);
-  ImbalanceRun r;
-  r.out.assign(static_cast<std::size_t>(kImbN), 0.0);
-  double* out = r.out.data();
-  r.res = m.run([out](machine::Context& ctx) {
-    core::parallel_for(ctx, 0, kImbN, [out](std::int64_t i) {
-      const int reps = i < kImbN / 4 ? kHeavyReps : 1;
-      double acc = static_cast<double>(i) * 1e-3;
-      for (int rp = 0; rp < reps; ++rp) acc = heavy(acc);
-      out[i] = acc;
-    });
-  });
-  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -262,51 +224,9 @@ int main(int argc, char** argv) {
     parity = parity && proc_parity;
   }
 
-  // ---- imbalanced parallel loop: stealing on vs off (threads) vs sim ----
-  // Best-of-3 host times for the threaded runs: the A/B ratio feeds a CI
-  // gate on shared runners, so take the fastest of three runs of each
-  // configuration to damp scheduler noise. Outputs are deterministic, so
-  // any run is a valid parity witness.
-  const auto best_threads = [procs](bool stealing) {
-    auto best = run_imbalanced(exec::BackendKind::Threads, procs, stealing);
-    for (int rep = 1; rep < 3; ++rep) {
-      auto r = run_imbalanced(exec::BackendKind::Threads, procs, stealing);
-      if (r.res.host_ms < best.res.host_ms) best = std::move(r);
-    }
-    return best;
-  };
-  const auto steal = best_threads(true);
-  const auto nosteal = best_threads(false);
-  const auto imb_sim = run_imbalanced(exec::BackendKind::Sim, procs, true);
-  const bool imb_parity = steal.out == nosteal.out && steal.out == imb_sim.out;
-  std::printf("imbalanced loop (%lld iters, heavy first quarter, %d threads):\n",
-              static_cast<long long>(kImbN), procs);
-  std::printf("  stealing on   host %8.1f ms  (%llu chunks / %llu iters stolen)\n",
-              steal.res.host_ms, static_cast<unsigned long long>(steal.res.steals),
-              static_cast<unsigned long long>(steal.res.stolen_iters));
-  std::printf("  stealing off  host %8.1f ms\n", nosteal.res.host_ms);
-  const double imb_speedup =
-      steal.res.host_ms > 0.0 ? nosteal.res.host_ms / steal.res.host_ms : 0.0;
-  std::printf("  stealing speedup: %.2fx; outputs %s\n", imb_speedup,
-              imb_parity ? "bit-identical across backends and A/B" : "MISMATCH");
-
-  const std::vector<std::pair<std::string, std::string>> imb_base = {
-      {"app", "imbalanced-loop"},
-      {"procs", std::to_string(procs)},
-      {"n", std::to_string(kImbN)},
-      {"parity", imb_parity ? "ok" : "MISMATCH"}};
-  auto with_ws = [&imb_base](const char* v) {
-    auto p = imb_base;
-    p.emplace_back("work_stealing", v);
-    return p;
-  };
-  fxbench::json_record("exec/imbalance/steal", with_ws("on"), steal.res, steal.res.host_ms);
-  fxbench::json_record("exec/imbalance/nosteal", with_ws("off"), nosteal.res,
-                       nosteal.res.host_ms);
-
   // ---- flight recorder A/B: off vs on on the threaded stream run ----
-  // Same best-of-3 discipline as the stealing gate: the ratio feeds the
-  // obs-smoke CI gate (<= 5% overhead), so damp scheduler noise. The legs
+  // Best-of-3 host times: the ratio feeds the obs-smoke CI gate (<= 5%
+  // overhead) on shared runners, so damp scheduler noise. The legs
   // own the toggle via the shared options (run_pipeline routes its config
   // through apply_tuning).
   if (flight_compare) {
@@ -343,9 +263,9 @@ int main(int argc, char** argv) {
                          on.host_ms);
   }
 
-  // The threaded stream run is the interesting snapshot: it has steals,
-  // loop latencies and real message counts.
+  // The threaded stream run is the interesting snapshot: it has real
+  // message counts and wait latencies.
   fxbench::report_metrics(thr.stats.machine_result);
 
-  return parity && imb_parity ? 0 : 1;
+  return parity ? 0 : 1;
 }

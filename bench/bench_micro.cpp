@@ -637,8 +637,8 @@ int main(int argc, char** argv) {
     } else if (a == "--qsort-scaling") {
       qsort_scaling = true;
     } else if (a == "--json-out" || a == "--trace-out" || a == "--backend" ||
-               a == "--transport" || a == "--threads" || a == "--work-stealing" ||
-               a == "--pinning" || a == "--metrics" || a == "--metrics-out") {
+               a == "--transport" || a == "--threads" || a == "--pinning" ||
+               a == "--metrics" || a == "--metrics-out") {
       ++i;
     } else if (a == "--trace-report") {
       // consumed by fxbench::init

@@ -105,7 +105,7 @@ class CollectiveCache final : public machine::MachineCacheBase {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      // Same splitmix-style scramble the loop arenas use for epochs.
+      // A splitmix-style scramble of the group key and the root.
       std::uint64_t h = k.group_key + 0x9e3779b97f4a7c15ull *
                                           (static_cast<std::uint64_t>(k.root) + 1);
       h ^= h >> 30;

@@ -68,20 +68,15 @@ void on_range(machine::Context& ctx, int first, int count, Fn&& fn) {
 }
 
 /// ON HOME-style element loop: runs `body(i)` for every i in [lo, hi),
-/// block-partitioned over the processors of `g`, with `g` pushed as the
-/// current group. Non-members skip past without synchronizing. The loop
-/// executes through the backend's bulk hook (exec::Backend::run_chunks), so
-/// on the threaded backend idle members of `g` — and only members of `g`;
-/// stealing never crosses into sibling subgroups — may steal iteration
-/// chunks from each other (docs/execution.md, "Work stealing").
+/// block-partitioned over the processors of `g` (exec::loop_block), with
+/// `g` pushed as the current group. Non-members skip past without
+/// synchronizing.
 template <typename Body>
 void on_elements(machine::Context& ctx, const pgroup::ProcessorGroup& g, std::int64_t lo,
                  std::int64_t hi, Body&& body) {
   on(ctx, g, [&ctx, lo, hi, &body] {
-    ctx.machine().backend().run_chunks(ctx.group(), lo, hi,
-                                       [&body](std::int64_t first, std::int64_t last) {
-                                         for (std::int64_t i = first; i < last; ++i) body(i);
-                                       });
+    const auto [first, last] = exec::loop_block(lo, hi, ctx.nprocs(), ctx.vrank());
+    for (std::int64_t i = first; i < last; ++i) body(i);
   });
 }
 

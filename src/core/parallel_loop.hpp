@@ -17,59 +17,39 @@
 // tree order makes results reproducible. parallel_for is the no-merge
 // special case.
 //
-// Both constructs execute through the backend's bulk loop hook
-// (exec::Backend::run_chunks): the simulator runs the static block
-// schedule inline, while the threaded backend may let idle members of the
-// current group steal iteration chunks from siblings (see
-// docs/execution.md, "Work stealing"). Results are bit-identical either
-// way: iteration ownership follows exec::loop_block on every backend, a
-// stolen chunk runs through the owner's closure, and the reduction always
-// merges per-iteration values in iteration order.
+// Both constructs run the static block schedule (exec::loop_block) on
+// every backend: each member of the current group executes its own block
+// inline, with no coordination, and the reduction merges per-iteration
+// values in iteration order. Results are therefore bit-identical on sim,
+// threads and proc (docs/execution.md, "Parallel loops").
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "comm/collectives.hpp"
 #include "machine/context.hpp"
 
 namespace fxpar::core {
 
-namespace detail {
-
-/// Block partition of [lo, hi) over `parts`: piece `which` as [first, last).
-inline std::pair<std::int64_t, std::int64_t> iteration_block(std::int64_t lo, std::int64_t hi,
-                                                             int parts, int which) {
-  return exec::loop_block(lo, hi, parts, which);
-}
-
-}  // namespace detail
-
 /// Runs `body(i)` for every i in [lo, hi), block-partitioned over the
-/// current group. Purely local from the program's point of view: callers
-/// that need the results of other processors' iterations synchronize via
-/// the data they touch, as in the paper's execution model. Iterations must
-/// be independent — under work stealing, chunks of one processor's block
-/// may execute concurrently on sibling workers.
+/// current group. Purely local: no synchronization (callers that need the
+/// results of other processors' iterations synchronize via the data they
+/// touch, as in the paper's execution model).
 template <typename Body>
 void parallel_for(machine::Context& ctx, std::int64_t lo, std::int64_t hi, Body&& body) {
   trace::ScopedSpan sp = ctx.span("parallel_for", "loop");
+  exec::Backend& backend = ctx.machine().backend();
   metrics::RuntimeMetrics* const mm = ctx.machine().metrics();
   const int rank = ctx.phys_rank();
   double t0 = 0.0;
   if (mm) {
     mm->loops->add(rank);
-    t0 = ctx.machine().backend().now(rank);
+    t0 = backend.now(rank);
   }
-  ctx.machine().backend().run_chunks(ctx.group(), lo, hi,
-                                     [&body](std::int64_t first, std::int64_t last) {
-                                       for (std::int64_t i = first; i < last; ++i) body(i);
-                                     });
-  // Modeled seconds on the simulator, real seconds on the threaded backend.
-  if (mm) mm->loop_s->observe(rank, ctx.machine().backend().now(rank) - t0);
+  const auto [first, last] = exec::loop_block(lo, hi, ctx.nprocs(), ctx.vrank());
+  for (std::int64_t i = first; i < last; ++i) body(i);
+  // Modeled seconds on the simulator, real seconds on threads and proc.
+  if (mm) mm->loop_s->observe(rank, backend.now(rank) - t0);
 }
 
 /// do&merge: evaluates `body(i)` for every iteration, merges locally in
@@ -91,37 +71,8 @@ T parallel_reduce(machine::Context& ctx, std::int64_t lo, std::int64_t hi, Body&
     if (mm) mm->loop_s->observe(rank, backend.now(rank) - t0);
   };
   T local = init;
-  if (backend.stealing_loops()) {
-    // Chunks of this block may run concurrently (on this worker and on
-    // thieves), so the fold cannot accumulate inside the chunk body.
-    // Buffer each iteration's value in a block-sized slot owned by this
-    // member — thieves write it through this closure — then fold in
-    // iteration order after the join: the exact merge sequence of the
-    // static path, so results stay bitwise identical with stealing on or
-    // off and across backends. Slots are std::optional so T needs only be
-    // move-constructible, like the static path: chunks partition the
-    // block, so each slot is emplaced exactly once by whichever worker
-    // runs its chunk. The buffer is one O(block-length) allocation per
-    // call — the price of decoupling evaluation order from the fold.
-    const auto [first, last] =
-        detail::iteration_block(lo, hi, ctx.nprocs(), ctx.vrank());
-    std::vector<std::optional<T>> vals(static_cast<std::size_t>(last - first));
-    std::optional<T>* out = vals.data();
-    backend.run_chunks(ctx.group(), lo, hi,
-                       [&body, out, base = first](std::int64_t clo, std::int64_t chi) {
-                         for (std::int64_t i = clo; i < chi; ++i) {
-                           out[i - base].emplace(body(i));
-                         }
-                       });
-    for (std::optional<T>& v : vals) local = merge(local, std::move(*v));
-  } else {
-    backend.run_chunks(ctx.group(), lo, hi,
-                       [&body, &merge, &local](std::int64_t clo, std::int64_t chi) {
-                         for (std::int64_t i = clo; i < chi; ++i) {
-                           local = merge(local, body(i));
-                         }
-                       });
-  }
+  const auto [first, last] = exec::loop_block(lo, hi, ctx.nprocs(), ctx.vrank());
+  for (std::int64_t i = first; i < last; ++i) local = merge(local, body(i));
   if (ctx.nprocs() == 1) {
     observe();
     return local;

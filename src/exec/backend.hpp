@@ -82,11 +82,10 @@ enum class TransportKind : std::uint8_t {
 const char* transport_kind_name(TransportKind t) noexcept;
 
 /// Static block partition of [lo, hi) over `parts`: piece `which` as
-/// [first, last). This is THE ownership map of every data parallel loop:
-/// the simulator executes exactly this schedule, and the threaded engine's
-/// work-stealing path derives each member's chunk deque from the same
-/// blocks, so iteration ownership (who holds the result slot for iteration
-/// i) is identical on every backend and with stealing on or off.
+/// [first, last). This is THE ownership map of every data parallel loop
+/// (core::parallel_for / parallel_reduce, hpf::on_elements): each member of
+/// the current group runs its own block inline on every backend, so
+/// iteration ownership is identical on sim, threads and proc.
 constexpr std::pair<std::int64_t, std::int64_t> loop_block(std::int64_t lo, std::int64_t hi,
                                                            int parts, int which) noexcept {
   const std::int64_t n = hi - lo;
@@ -112,21 +111,6 @@ class AbortError : public std::runtime_error {
   AbortError() : std::runtime_error("fxexec: run aborted by a failing processor") {}
 };
 
-/// One contiguous chunk of a bulk loop, executed by run_chunks(): run
-/// iterations [lo, hi). A stolen chunk is always executed through the
-/// *owning* member's body object (the member whose static block contains
-/// [lo, hi)), so captured per-processor state — local array views, result
-/// buffers — is the owner's regardless of which worker ran the chunk.
-using ChunkBody = std::function<void(std::int64_t lo, std::int64_t hi)>;
-
-/// The static loop schedule: member `vrank` of a `parts`-member group runs
-/// its whole loop_block() of [lo, hi) as one chunk, with no coordination.
-inline void run_static_block(std::int64_t lo, std::int64_t hi, int parts, int vrank,
-                             const ChunkBody& body) {
-  const auto [first, last] = loop_block(lo, hi, parts, vrank);
-  if (first < last) body(first, last);
-}
-
 /// Aggregate per-run numbers a backend hands back after run(). The
 /// interpretation of the clock fields is backend-defined: modeled seconds
 /// on the simulator, real host seconds on the threaded and process engines.
@@ -137,8 +121,6 @@ struct BackendStats {
   std::uint64_t bytes = 0;
   std::uint64_t barriers = 0;
   double wait_ms = 0.0;  ///< total *real* blocked time (threads and proc; 0 on sim)
-  std::uint64_t steals = 0;        ///< loop chunks stolen by idle subgroup siblings
-  std::uint64_t stolen_iters = 0;  ///< iterations executed by a non-owning worker
   std::vector<std::uint64_t> traffic;  ///< src * P + dst, when recorded
 
   /// Per-worker NUMA node ids under an active pinning policy (threaded
@@ -169,11 +151,11 @@ class Backend {
   const Probe& probe() const noexcept { return probe_; }
 
   /// Live structured introspection: per-worker state (running / parked +
-  /// block reason / finished), mailbox and loop-deque depths, placement,
-  /// heartbeats, and barrier occupancy. The threaded backend answers this
-  /// from any thread at any time (all reads are atomics or registry reads
-  /// under their own locks); the simulator's answer is safe only from the
-  /// run thread while no run is executing (its state is fiber-mutated).
+  /// block reason / finished), mailbox depths, placement, heartbeats, and
+  /// barrier occupancy. The threaded backend answers this from any thread
+  /// at any time (all reads are atomics or registry reads under their own
+  /// locks); the simulator's answer is safe only from the run thread while
+  /// no run is executing (its state is fiber-mutated).
   /// The default is an empty introspection for backends without the hook.
   virtual obs::Introspection introspect() const { return {}; }
 
@@ -185,9 +167,9 @@ class Backend {
   virtual obs::Introspection failure_introspection() const { return {}; }
 
   /// Monotone progress stamp for the stall watchdog: changes whenever the
-  /// backend performs runtime-service work (messages, barriers, loop
-  /// chunks, io, worker completion). A constant value across T seconds
-  /// means no global progress. Default 0 = no progress signal.
+  /// backend performs runtime-service work (messages, barriers, io, worker
+  /// completion). A constant value across T seconds means no global
+  /// progress. Default 0 = no progress signal.
   virtual std::uint64_t progress() const noexcept { return 0; }
 
   /// Clock of `rank`: modeled seconds (sim) or real seconds since the
@@ -221,33 +203,6 @@ class Backend {
 
   /// Blocking operation on the machine's sequential I/O device.
   virtual void io_operation(std::size_t bytes) = 0;
-
-  /// Bulk loop-execution hook (core::parallel_for / parallel_reduce and the
-  /// hpf_on element loops route through this). Every member of `group` —
-  /// and only members; the caller must be one — invokes it SPMD with the
-  /// same [lo, hi) and an equivalent body. The backend decides the schedule:
-  ///
-  ///   * static (the simulator, or work_stealing off): the caller runs its
-  ///     own loop_block() as one chunk and returns — no synchronization,
-  ///     exactly the seed behaviour;
-  ///   * stealing (threaded backend, work_stealing on): the caller's block
-  ///     is split into a deque of chunks; idle members of the *same* group
-  ///     steal from siblings' deques — always invoking the chunk owner's
-  ///     body object — and the call returns once every iteration of the
-  ///     caller's own block has completed (possibly on another worker),
-  ///     with the completed chunks' writes visible to the caller.
-  ///
-  /// Iterations must be independent (the parallel-loop contract): under
-  /// stealing, chunks of one member's block may run concurrently, so a body
-  /// may write per-iteration locations but must not accumulate into shared
-  /// captured state — parallel_reduce buffers per-iteration values instead.
-  virtual void run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
-                          std::int64_t hi, const ChunkBody& body) = 0;
-
-  /// True when run_chunks() may execute chunks on workers other than their
-  /// owner (so callers that fold per-iteration values must buffer them
-  /// instead of accumulating inline).
-  virtual bool stealing_loops() const noexcept { return false; }
 
  protected:
   Probe probe_;

@@ -11,7 +11,6 @@
 //   received  a matched receive    (a backend's receive)
 //   barrier   a subset barrier     (a backend's barrier)
 //   io        an I/O operation     (a backend's io_operation)
-//   steal     a stolen loop chunk  (the threaded backend's run_chunks)
 //   plan      a plan-cache lookup  (Machine::count_plan)
 //   spill     a pool buffer spilled (Machine's pool release)
 //   span      a named span opened  (Context::span)
@@ -125,20 +124,6 @@ struct Probe {
       flight->record(rank, obs::FlightKind::Io, t1, "io", static_cast<std::uint64_t>(bytes), 0);
     }
     if (trace) trace->io_wait(rank, t0, t1, cause_proc, cause_time);
-  }
-
-  /// `thief` finished a stolen chunk of `iters` iterations owned by
-  /// `victim` at `t`.
-  void steal(int thief, int victim, std::uint64_t iters, double t) const {
-    if (metrics) {
-      metrics->steals->add(thief);
-      metrics->stolen_iters->add(thief, iters);
-    }
-    if (flight) {
-      flight->record(thief, obs::FlightKind::Steal, t, "steal",
-                     static_cast<std::uint64_t>(victim), iters);
-    }
-    if (trace) trace->steal_event(thief, victim, iters, t);
   }
 
   /// A `kind` plan-cache hit or miss observed by `rank`.

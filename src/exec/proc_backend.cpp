@@ -472,19 +472,7 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
 }
 
 // ---------------------------------------------------------------------------
-// Loops and I/O
-
-void ProcBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
-                             std::int64_t hi, const ChunkBody& body) {
-  const int v = pgroup::require_member(group, current_rank(), "Machine::run_chunks");
-  check_abort();
-  if (hi <= lo) return;
-  beat();
-  // Static block schedule only: stealing would mean shipping the body
-  // closure (and the owner's captured state) across address spaces.
-  run_static_block(lo, hi, group.size(), v, body);
-  beat();
-}
+// I/O
 
 void ProcBackend::io_operation(std::size_t bytes) {
   const int rank = current_rank();

@@ -24,9 +24,8 @@
 //
 // Determinism: messages are matched by (source, tag) in per-source FIFO
 // order (a property the transports guarantee per stream), barriers
-// synchronize identical groups, and run_chunks executes the static block
-// schedule (stealing_loops() == false — stealing would require shipping
-// closures across address spaces). Deterministic programs therefore
+// synchronize identical groups, and data parallel loops run their static
+// exec::loop_block on every backend. Deterministic programs therefore
 // produce bit-identical array contents against sim and threads; the
 // cross-backend parity sweep (tests/test_exec_parity.cpp) holds this.
 //
@@ -94,9 +93,6 @@ class ProcBackend final : public Backend {
   Payload receive(int src, std::uint64_t tag) override;
   void barrier(const pgroup::ProcessorGroup& group) override;
   void io_operation(std::size_t bytes) override;
-  void run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo, std::int64_t hi,
-                  const ChunkBody& body) override;
-  bool stealing_loops() const noexcept override { return false; }
 
  private:
   double now_s() const { return clock_.now_s(); }

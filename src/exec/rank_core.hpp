@@ -170,8 +170,6 @@ struct alignas(64) RankLive {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t barriers = 0;
-  std::uint64_t steals = 0;        ///< loop chunks stolen from siblings
-  std::uint64_t stolen_iters = 0;  ///< iterations run on behalf of siblings
 
   static constexpr std::uint64_t kNoBeat = 0xbff0000000000000ull;  ///< -1.0
 
@@ -187,7 +185,7 @@ struct alignas(64) RankLive {
     await_token.store(0, std::memory_order_relaxed);
     await_episode.store(0, std::memory_order_relaxed);
     elapsed_s = wait_s = 0.0;
-    blocks = messages = bytes = barriers = steals = stolen_iters = 0;
+    blocks = messages = bytes = barriers = 0;
   }
 
   /// Stamps a heartbeat: introspection's liveness signal and one unit of
@@ -271,8 +269,6 @@ inline BackendStats rank_stats(std::span<const RankLive> ranks) {
     s.messages += r.messages;
     s.bytes += r.bytes;
     s.barriers += r.barriers;
-    s.steals += r.steals;
-    s.stolen_iters += r.stolen_iters;
     s.wait_ms += r.wait_s * 1e3;
     any_pinned = any_pinned || r.cpu.load(std::memory_order_relaxed) >= 0;
   }
@@ -285,8 +281,8 @@ inline BackendStats rank_stats(std::span<const RankLive> ranks) {
 }
 
 /// Backend::progress(): the backend's own service counter plus every
-/// rank's heartbeats and completion, so a run that is computing loop
-/// chunks or spinning in a join still reads as moving.
+/// rank's heartbeats and completion, so a run whose ranks still beat
+/// reads as moving.
 inline std::uint64_t rank_progress(std::span<const RankLive> ranks,
                                    std::uint64_t services) noexcept {
   std::uint64_t p = services;

@@ -204,16 +204,6 @@ void SimBackend::barrier(const pgroup::ProcessorGroup& group) {
   probe_.barrier(me, group.key(), n, arrived_at, sim_->now(), arrival_seq);
 }
 
-void SimBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
-                            std::int64_t hi, const ChunkBody& body) {
-  const int v = pgroup::require_member(group, sim_->current_rank(), "Machine::run_chunks");
-  if (hi <= lo) return;
-  // The static schedule: no synchronization, no stealing — deterministic
-  // programs behave exactly as if they had looped over loop_block() inline
-  // (which is what the seed parallel_for did).
-  run_static_block(lo, hi, group.size(), v, body);
-}
-
 void SimBackend::io_operation(std::size_t bytes) {
   progress_ += 1;
   const int me = sim_->current_rank();

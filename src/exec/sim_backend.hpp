@@ -44,8 +44,6 @@ class SimBackend final : public Backend {
   Payload receive(int src, std::uint64_t tag) override;
   void barrier(const pgroup::ProcessorGroup& group) override;
   void io_operation(std::size_t bytes) override;
-  void run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo, std::int64_t hi,
-                  const ChunkBody& body) override;
 
   /// The underlying event simulator (modeled clocks, block/wake).
   runtime::Simulator& sim() noexcept { return *sim_; }

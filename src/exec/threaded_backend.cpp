@@ -1,9 +1,7 @@
 #include "exec/threaded_backend.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <string>
 #include <utility>
 
 #include "pgroup/group.hpp"
@@ -13,15 +11,6 @@ namespace fxpar::exec {
 namespace {
 
 constexpr int kSpinRounds = 256;  ///< brief spin before parking on the cv
-
-// How many chunks a member's static block is split into for stealing. Small
-// enough that claim overhead is negligible next to any nontrivial body,
-// large enough that a fully idle sibling can take a useful share.
-constexpr int kLoopChunksPerWorker = 16;
-
-// Scrambles the loop episode into the arena key (odd, so distinct episodes
-// of one group can never alias each other).
-constexpr std::uint64_t kEpochScramble = 0x9e3779b97f4a7c15ull;
 
 }  // namespace
 
@@ -99,19 +88,12 @@ void ThreadedBackend::reset_run_state() {
     Worker& w = *workers_[static_cast<std::size_t>(r)];
     w.barrier_epoch.clear();
     w.barrier_cache.clear();
-    w.loop_epoch.clear();
     live_[r].reset();
   }
   if (!traffic_.empty()) std::fill(traffic_.begin(), traffic_.end(), 0);
   {
     std::lock_guard<std::mutex> lk(breg_mu_);
     barrier_registry_.clear();
-  }
-  {
-    // An aborted run can leave arenas behind (members unwound before the
-    // last-leaver cleanup); a normal run leaves the map empty.
-    std::lock_guard<std::mutex> lk(loop_mu_);
-    loop_registry_.clear();
   }
   aborted_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
@@ -461,185 +443,6 @@ void ThreadedBackend::barrier(const pgroup::ProcessorGroup& group) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing loops
-
-void ThreadedBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
-                                 std::int64_t hi, const ChunkBody& body) {
-  Worker& me = self();
-  const int rank = CallingRank::rank;
-  const int v = pgroup::require_member(group, rank, "Machine::run_chunks");
-  if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-  if (hi <= lo) return;
-  RankLive& lv = live_[rank];
-  lv.beat(now_s());
-
-  const int n = group.size();
-  if (n == 1 || !config_.work_stealing) {
-    // Static schedule: exactly the simulator's behaviour, no coordination.
-    run_static_block(lo, hi, n, v, body);
-    return;
-  }
-  const auto [first, last] = loop_block(lo, hi, n, v);
-
-  // Acquire (or create) the arena for this loop episode. The key mixes the
-  // group's content key with this group's per-worker loop counter — SPMD
-  // order guarantees all members agree on the counter — so two consecutive
-  // loops of one group, or simultaneous loops of two sibling subgroups,
-  // always name different arenas. Stealing can therefore never cross
-  // TASK_PARTITION siblings: a thief only ever scans slots of its own
-  // arena, and membership of the arena is membership of the group.
-  const std::uint64_t gkey = group.key();
-  const std::uint64_t episode = ++me.loop_epoch[gkey];
-  const std::uint64_t akey = gkey ^ (episode * kEpochScramble);
-  std::shared_ptr<LoopArena> arena;
-  {
-    std::lock_guard<std::mutex> lk(loop_mu_);
-    auto& slot = loop_registry_[akey];
-    if (!slot) slot = std::make_shared<LoopArena>(group.members(), episode);
-    arena = slot;
-  }
-  pgroup::check_group_key_match(arena->members, group, "ThreadedBackend::run_chunks");
-  if (arena->epoch != episode) {
-    throw std::logic_error("ThreadedBackend::run_chunks: arena key collision (episode " +
-                           std::to_string(arena->epoch) + " vs " + std::to_string(episode) +
-                           ") on group " + group.to_string());
-  }
-
-  // Publish my static block as a bottom-to-top array of chunks. Everything
-  // is written before the single release store of `chunks`; thieves acquire
-  // that pointer, so they see count/result_slot/remaining without locks.
-  LoopArena::Slot& mine = arena->slots[static_cast<std::size_t>(v)];
-  const std::int64_t len = last - first;
-  int count = 0;
-  if (len > 0) {
-    count = static_cast<int>(std::min<std::int64_t>(len, kLoopChunksPerWorker));
-    const std::int64_t step = (len + count - 1) / count;
-    // The rounded-up step can overshoot the block when len is not a
-    // multiple of the chunk count (len=25 over 16 chunks steps by 2 and
-    // covers 32): recompute the count so every chunk is non-empty, and
-    // clamp both bounds — an unclamped lo yields lo > hi chunks whose
-    // negative lengths would wedge the `remaining` join below forever.
-    count = static_cast<int>((len + step - 1) / step);
-    mine.storage = std::make_unique<LoopArena::Chunk[]>(static_cast<std::size_t>(count));
-    for (int c = 0; c < count; ++c) {
-      auto& ch = mine.storage[static_cast<std::size_t>(c)];
-      ch.lo = std::min(last, first + static_cast<std::int64_t>(c) * step);
-      ch.hi = std::min(last, ch.lo + step);
-      assert(ch.lo < ch.hi);
-    }
-    mine.count = count;
-    mine.body = &body;
-    mine.remaining.store(len, std::memory_order_relaxed);
-    mine.chunks.store(mine.storage.get(), std::memory_order_release);
-  }
-
-  // Always run a chunk through its *owner's* body object: the closure
-  // captures the owner's per-processor state (local array views, result
-  // buffers), so a stolen chunk computes exactly what the owner would have.
-  const auto run_one = [](LoopArena::Slot& s, LoopArena::Chunk& ch) {
-    // Account the chunk done even when the body throws (an abort unwinding
-    // a machine service called inside the loop): the owner's join and the
-    // abort drain below both wait on `remaining`, and a skipped decrement
-    // would turn the abort into a permanent spin.
-    struct Done {
-      LoopArena::Slot& slot;
-      std::int64_t n;
-      ~Done() { slot.remaining.fetch_sub(n, std::memory_order_acq_rel); }
-    } done{s, ch.hi - ch.lo};
-    (*s.body)(ch.lo, ch.hi);
-  };
-
-  // The member leaves as soon as its own block is done — downstream reads
-  // of *other* members' results are synchronized by messages/barriers as
-  // always. The last member out unregisters the arena; the shared_ptr each
-  // member took at entry keeps the slots alive for any straggling scan.
-  const auto leave = [&] {
-    if (arena->left.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-      std::lock_guard<std::mutex> lk(loop_mu_);
-      auto it = loop_registry_.find(akey);
-      if (it != loop_registry_.end() && it->second == arena) loop_registry_.erase(it);
-    }
-  };
-
-  try {
-    // Phase 1 — drain my own deque from the bottom. A flag already seen
-    // true means a sibling stole that chunk and is (or was) running it.
-    for (int c = 0; c < count; ++c) {
-      if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-      auto& ch = mine.storage[static_cast<std::size_t>(c)];
-      if (!ch.taken.exchange(true, std::memory_order_acq_rel)) {
-        run_one(mine, ch);
-        lv.beat(now_s());
-      }
-    }
-
-    // Phase 2 — steal from siblings (top of their deques, round-robin from
-    // my right neighbour, sticking with a victim while it yields work),
-    // until my own block is complete *and* no stealable chunk is visible.
-    // The join is a bespoke spin on `remaining`, not a barrier: it must not
-    // perturb the barrier/message counters, which tests hold equal across
-    // backends.
-    int next_victim = (v + 1) % n;
-    for (;;) {
-      if (aborted_.load(std::memory_order_acquire)) throw AbortError{};
-      bool stole = false;
-      for (int off = 0; off < n && !stole; ++off) {
-        const int u = (next_victim + off) % n;
-        if (u == v) continue;
-        LoopArena::Slot& s = arena->slots[static_cast<std::size_t>(u)];
-        LoopArena::Chunk* arr = s.chunks.load(std::memory_order_acquire);
-        if (arr == nullptr) continue;                                    // not published yet
-        if (s.remaining.load(std::memory_order_acquire) == 0) continue;  // fully done
-        for (int c = s.count - 1; c >= 0; --c) {
-          auto& ch = arr[static_cast<std::size_t>(c)];
-          if (ch.taken.load(std::memory_order_relaxed)) continue;
-          if (ch.taken.exchange(true, std::memory_order_acq_rel)) continue;
-          run_one(s, ch);
-          const double t = now_s();
-          const auto iters = static_cast<std::uint64_t>(ch.hi - ch.lo);
-          lv.beat(t);
-          lv.steals += 1;
-          lv.stolen_iters += iters;
-          probe_.steal(rank, arena->members[static_cast<std::size_t>(u)], iters, t);
-          next_victim = u;
-          stole = true;
-          break;
-        }
-      }
-      if (stole) continue;
-      if (mine.remaining.load(std::memory_order_acquire) == 0) break;
-      // My remaining chunks are all claimed and in flight on siblings; this
-      // spin is the per-member join. It busy-waits (with yields) rather
-      // than parking: the worker is neither finished nor blocked on a
-      // machine service, so the deadlock detector must keep seeing it as
-      // running.
-      std::this_thread::yield();
-    }
-  } catch (...) {
-    // Unwinding this frame destroys the caller's body object (and any
-    // result buffers it closes over) that slot `v` still points to. Make
-    // the failure global first so in-flight thieves unwind instead of
-    // parking, poison every chunk no thief has claimed yet, then wait for
-    // the claimed ones to drain: after that no sibling can start (or still
-    // be inside) a chunk that touches freed state. fail() keeps the first
-    // real error, so re-reporting an AbortError here is a no-op.
-    fail(std::current_exception());
-    for (int c = 0; c < count; ++c) {
-      auto& ch = mine.storage[static_cast<std::size_t>(c)];
-      if (!ch.taken.exchange(true, std::memory_order_acq_rel)) {
-        mine.remaining.fetch_sub(ch.hi - ch.lo, std::memory_order_acq_rel);
-      }
-    }
-    while (mine.remaining.load(std::memory_order_acquire) != 0) {
-      std::this_thread::yield();
-    }
-    leave();
-    throw;
-  }
-  leave();
-}
-
-// ---------------------------------------------------------------------------
 // I/O device
 
 void ThreadedBackend::io_operation(std::size_t bytes) {
@@ -689,30 +492,6 @@ obs::Introspection ThreadedBackend::introspect() const {
   const int p = num_procs();
   out.workers.reserve(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) out.workers.push_back(worker_state(live_[r], r));
-  {
-    // Unclaimed chunks still published in live loop arenas, attributed to
-    // the owning member. The arrays are safe to scan under loop_mu_: an
-    // arena in the registry is kept alive by its shared_ptr, and the claim
-    // flags are atomics.
-    std::lock_guard<std::mutex> lk(loop_mu_);
-    for (const auto& [key, arena] : loop_registry_) {
-      for (std::size_t u = 0; u < arena->slots.size(); ++u) {
-        const LoopArena::Slot& s = arena->slots[u];
-        const LoopArena::Chunk* arr = s.chunks.load(std::memory_order_acquire);
-        if (arr == nullptr) continue;
-        std::int64_t pending = 0;
-        for (int c = 0; c < s.count; ++c) {
-          if (!arr[static_cast<std::size_t>(c)].taken.load(std::memory_order_relaxed)) {
-            ++pending;
-          }
-        }
-        const int owner = arena->members[u];
-        if (owner >= 0 && owner < p) {
-          out.workers[static_cast<std::size_t>(owner)].loop_chunks_pending += pending;
-        }
-      }
-    }
-  }
   {
     // Partially-occupied barriers: every registered tree with at least one
     // member currently parked in an unreleased episode.

@@ -27,19 +27,8 @@
 //    real blocked time and barrier counts. The simulator remains the
 //    authority on modeled machine time (docs/execution.md).
 //
-//  - Loops: run_chunks() implements intra-subgroup work stealing (on by
-//    default, MachineConfig::work_stealing). Each member of the calling
-//    group splits its static loop_block() into a deque of chunks published
-//    in a per-loop arena; the owner claims chunks from the bottom, idle
-//    *siblings of the same group* steal from the top (a simplified
-//    Chase-Lev layout: a fixed chunk array with per-slot claim flags
-//    instead of ABA-prone top/bottom counters, safe because all pushes
-//    happen before publication). Arenas are keyed on (group key, per-group
-//    loop epoch), so sibling subgroups of a TASK_PARTITION can never
-//    exchange work — the paper's subgroup isolation invariant. A stolen
-//    chunk still writes the owning member's result slot, which keeps array
-//    contents and reduction combine order bit-identical to the static
-//    schedule (docs/execution.md, "Work stealing").
+//  - Loops: there is no loop service. Data parallel loops run each
+//    member's static exec::loop_block inline, exactly as on the simulator.
 //
 // A processor body that throws aborts the run: every parked worker is
 // woken and unwinds with AbortError, and run() rethrows the original
@@ -78,7 +67,7 @@ class ThreadedBackend final : public Backend {
   double now(int rank) const override;
   BackendStats stats() const override;
   /// Thread-safe at any time: worker fields it reads are atomics, and the
-  /// barrier / loop-arena registries are read under their own mutexes.
+  /// barrier registry is read under its own mutex.
   obs::Introspection introspect() const override;
   obs::Introspection failure_introspection() const override;
   std::uint64_t progress() const noexcept override;
@@ -89,11 +78,6 @@ class ThreadedBackend final : public Backend {
   Payload receive(int src, std::uint64_t tag) override;
   void barrier(const pgroup::ProcessorGroup& group) override;
   void io_operation(std::size_t bytes) override;
-  void run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo, std::int64_t hi,
-                  const ChunkBody& body) override;
-  bool stealing_loops() const noexcept override {
-    return config_.work_stealing && config_.num_procs > 1;
-  }
 
  private:
   /// One message in flight. Allocated by the sender, freed by the receiver.
@@ -122,42 +106,6 @@ class ThreadedBackend final : public Backend {
     std::condition_variable cv;
   };
 
-  /// One work-stealing episode of one group's data-parallel loop (one
-  /// run_chunks() call of every member). Each member owns one Slot indexed
-  /// by its vrank: it splits its static block into a fixed chunk array and
-  /// release-publishes it; idle siblings steal unclaimed chunks from the
-  /// top while the owner claims from the bottom. The layout is a
-  /// simplified Chase-Lev deque — all pushes happen before publication, so
-  /// per-chunk claim flags replace the ABA-prone top/bottom counters.
-  struct LoopArena {
-    struct Chunk {
-      std::int64_t lo = 0;
-      std::int64_t hi = 0;
-      std::atomic<bool> taken{false};
-    };
-    struct alignas(64) Slot {
-      std::atomic<Chunk*> chunks{nullptr};  ///< release-published; null = no block
-      int count = 0;  ///< chunk count; valid once `chunks` is seen
-      /// The owner's body object. Thieves run stolen chunks through this,
-      /// so captured per-processor state is the owner's no matter which
-      /// worker executes. Points into the owner's run_chunks frame — valid
-      /// until the owner leaves, and no chunk can be claimed after that.
-      const ChunkBody* body = nullptr;
-      std::unique_ptr<Chunk[]> storage;
-      /// Iterations of this slot's block not yet completed. Workers
-      /// fetch_sub with acq_rel after a chunk's body returns, so the
-      /// owner's acquire read of 0 sees every write the chunk made.
-      std::atomic<std::int64_t> remaining{0};
-    };
-    LoopArena(std::vector<int> member_list, std::uint64_t episode)
-        : members(std::move(member_list)), epoch(episode), slots(members.size()) {}
-
-    std::vector<int> members;  ///< collision guard, and vrank -> physical rank
-    std::uint64_t epoch = 0;   ///< per-group loop episode this arena serves
-    std::vector<Slot> slots;   ///< indexed by vrank
-    std::atomic<int> left{0};  ///< members done; the last one unregisters
-  };
-
   /// The transport and barrier-cache side of one worker; its live state
   /// is the RankLive of the same rank in live_.
   struct alignas(64) Worker {
@@ -170,11 +118,6 @@ class ThreadedBackend final : public Backend {
     // ---- owner-thread-local state ----
     std::unordered_map<std::uint64_t, std::uint64_t> barrier_epoch;
     std::unordered_map<std::uint64_t, std::shared_ptr<TreeBarrier>> barrier_cache;
-    /// Loop episodes completed per group key. SPMD guarantees every member
-    /// of a group reaches its run_chunks() calls in the same order, so the
-    /// per-worker counters agree and name the same arena.
-    std::unordered_map<std::uint64_t, std::uint64_t> loop_epoch;
-
     std::thread thread;
   };
 
@@ -213,11 +156,6 @@ class ThreadedBackend final : public Backend {
 
   mutable std::mutex breg_mu_;  ///< mutable: introspect() is const
   std::unordered_map<std::uint64_t, std::shared_ptr<TreeBarrier>> barrier_registry_;
-
-  mutable std::mutex loop_mu_;  ///< mutable: introspect() is const
-  /// Keyed on group key XOR scrambled loop episode; entries are erased by
-  /// the last member to leave, so the map stays small between loops.
-  std::unordered_map<std::uint64_t, std::shared_ptr<LoopArena>> loop_registry_;
 
   std::mutex io_mu_;
   int io_prev_proc_ = -1;  ///< guarded by io_mu_

@@ -81,16 +81,6 @@ struct MachineConfig {
   /// never change modeled time — results are bit-identical either way.
   bool metrics = true;
 
-  /// Intra-subgroup work stealing for data parallel loops (threaded backend
-  /// only; the simulator always runs the static block schedule). When on,
-  /// run_chunks() lets idle members of the *current* processor group steal
-  /// iteration chunks from siblings of the same group — never across
-  /// TASK_PARTITION siblings — which recovers load-imbalance slack in
-  /// irregular loops. Array contents and reduction results are bit-identical
-  /// with stealing on or off (docs/execution.md, "Work stealing"); the
-  /// switch exists for A/B host-time benchmarking.
-  bool work_stealing = true;
-
   /// Worker-thread placement policy (threaded backend only; the simulator
   /// runs every fiber on one host thread and ignores it). See
   /// exec/topology.hpp for the policies and docs/performance.md ("NUMA &
@@ -122,19 +112,18 @@ struct MachineConfig {
   int obs_port = -1;
 
   /// Always-on flight recorder: a bounded per-worker ring of recent
-  /// runtime events (sends, receives, barriers, io, loop steals, span
-  /// marks) kept even when full tracing is off. Dumped at /trace, included
-  /// in every diagnostic bundle (deadlock, abort, stall), and ~free when
-  /// off: each hook site pays one null-pointer test. Implied on when
-  /// obs_port >= 0.
+  /// runtime events (sends, receives, barriers, io, span marks) kept even
+  /// when full tracing is off. Dumped at /trace, included in every
+  /// diagnostic bundle (deadlock, abort, stall), and ~free when off: each
+  /// hook site pays one null-pointer test. Implied on when obs_port >= 0.
   bool flight_recorder = false;
   std::size_t flight_events = 2048;  ///< ring capacity per worker (events)
   double flight_window_s = 30.0;     ///< dumps keep events this close to the newest
 
   /// Stall watchdog (threaded backend only; > 0 enables): a monitor thread
   /// emits a structured diagnostic bundle to stderr whenever the backend
-  /// reports no runtime-service progress — no message, barrier, loop chunk
-  /// or io completion on any worker — for this many seconds, then re-arms.
+  /// reports no runtime-service progress — no message, barrier or io
+  /// completion on any worker — for this many seconds, then re-arms.
   /// Pure user compute between service calls counts as no progress, so set
   /// it above the longest expected service-free interval.
   double stall_watchdog_s = 0.0;

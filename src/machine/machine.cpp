@@ -181,8 +181,6 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
   res.messages = bs.messages;
   res.bytes = bs.bytes;
   res.barriers = bs.barriers;
-  res.steals = bs.steals;
-  res.stolen_iters = bs.stolen_iters;
   res.backend = backend_->name();
   res.host_ms = std::chrono::duration<double, std::milli>(host_t1 - host_t0).count();
   res.wait_ms = bs.wait_ms;

@@ -62,13 +62,6 @@ struct RunResult {
   std::uint64_t bytes = 0;
   std::uint64_t barriers = 0;
 
-  /// Work-stealing counters (threaded backend with
-  /// MachineConfig::work_stealing on; always 0 on the simulator): chunks of
-  /// data parallel loops executed by an idle sibling of the owner's group,
-  /// and the iterations those chunks covered.
-  std::uint64_t steals = 0;
-  std::uint64_t stolen_iters = 0;
-
   /// Which engine executed the run: "sim", "threads" or "proc".
   std::string backend = "sim";
 
@@ -321,7 +314,10 @@ class Machine {
       }
       // Same-size reuse makes this resize a no-op: unlike a freshly
       // constructed vector there is no value-initializing memset. Contents
-      // are unspecified by contract; every caller overwrites them.
+      // are unspecified by contract; every caller overwrites them. A buffer
+      // too small for `n` is emptied first, so the reallocation below does
+      // not copy its stale contents.
+      if (v.capacity() < n) v.clear();
       v.resize(n);
       return v;
     }

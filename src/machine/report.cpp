@@ -12,8 +12,6 @@ UtilizationSummary summarize(const RunResult& result) {
   s.messages = result.messages;
   s.bytes = result.bytes;
   s.barriers = result.barriers;
-  s.steals = result.steals;
-  s.stolen_iters = result.stolen_iters;
   s.plan_cache_hits = result.plan_cache_hits;
   s.plan_cache_misses = result.plan_cache_misses;
   s.collective_plan_hits = result.collective_plan_hits;
@@ -86,10 +84,6 @@ std::string utilization_report(const RunResult& result, int max_rows) {
   }
   if (s.pool_spills > 0) {
     oss << "  payload pool: " << s.pool_spills << " cross-shard spills\n";
-  }
-  if (s.steals > 0) {
-    oss << "  work stealing: " << s.steals << " chunks (" << s.stolen_iters
-        << " iterations) ran on idle subgroup siblings\n";
   }
   // Only the threaded backend's times are real; keep the simulator's
   // report unchanged (its makespan *is* the authoritative number).

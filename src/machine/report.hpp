@@ -22,8 +22,6 @@ struct UtilizationSummary {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t barriers = 0;
-  std::uint64_t steals = 0;        ///< stolen loop chunks (threads backend)
-  std::uint64_t stolen_iters = 0;  ///< iterations those chunks covered
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
   std::uint64_t collective_plan_hits = 0;

@@ -46,8 +46,6 @@ struct RuntimeMetrics {
   // core / exec
   Counter* loops;               ///< parallel_for/parallel_reduce invocations
   Histogram* loop_s;            ///< per-participant loop latency
-  Counter* steals;              ///< stolen loop chunks (threads backend)
-  Counter* stolen_iters;        ///< iterations covered by stolen chunks
   Counter* task_regions;        ///< TaskRegion activations
   Gauge* pinned_workers;        ///< workers pinned in the last threaded run
 
@@ -77,8 +75,6 @@ struct RuntimeMetrics {
         collective_plan_misses(registry.counter("fxpar_comm_collective_plan_misses_total")),
         loops(registry.counter("fxpar_core_parallel_loops_total")),
         loop_s(registry.histogram("fxpar_core_parallel_loop_seconds")),
-        steals(registry.counter("fxpar_exec_steals_total")),
-        stolen_iters(registry.counter("fxpar_exec_stolen_iters_total")),
         task_regions(registry.counter("fxpar_core_task_regions_total")),
         pinned_workers(registry.gauge("fxpar_exec_pinned_workers")),
         runs(registry.counter("fxpar_machine_runs_total")),

@@ -39,7 +39,6 @@ std::string workers_json(const std::vector<WorkerState>& workers, double now) {
     os << "{\"rank\":" << w.rank << ",\"state\":\"" << json_escape(w.state)
        << "\",\"block_reason\":\"" << json_escape(w.block_reason)
        << "\",\"mailbox_depth\":" << w.mailbox_depth
-       << ",\"loop_chunks_pending\":" << w.loop_chunks_pending
        << ",\"cpu\":" << w.cpu << ",\"node\":" << w.node;
     if (w.last_beat >= 0.0) {
       os << ",\"last_beat\":" << w.last_beat

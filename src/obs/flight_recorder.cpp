@@ -14,7 +14,6 @@ const char* flight_kind_name(FlightKind k) noexcept {
     case FlightKind::Recv: return "recv";
     case FlightKind::Barrier: return "barrier";
     case FlightKind::Io: return "io";
-    case FlightKind::Steal: return "steal";
     case FlightKind::Mark: return "mark";
   }
   return "?";

@@ -1,7 +1,7 @@
 // fxobs: always-on flight recorder.
 //
 // A fixed-size per-worker ring buffer of recent runtime events — spans,
-// messages, receives, barriers, io transfers, steals — kept at bounded
+// messages, receives, barriers, io transfers — kept at bounded
 // memory even when full tracing (trace::TraceRecorder) is off. The rings
 // overwrite oldest-first, so at any moment the recorder holds the newest
 // `events_per_proc` events of every worker; a dump filters them to the
@@ -31,8 +31,7 @@ enum class FlightKind : std::uint8_t {
   Recv = 2,     ///< message received (a = src, b = tag)
   Barrier = 3,  ///< barrier completed (a = group key)
   Io = 4,       ///< io_operation completed (a = bytes)
-  Steal = 5,    ///< loop chunk stolen (a = victim, b = iterations)
-  Mark = 6,     ///< free-form mark
+  Mark = 6,     ///< free-form mark (5 is retired; kinds keep their numbers)
 };
 
 const char* flight_kind_name(FlightKind k) noexcept;

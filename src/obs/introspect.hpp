@@ -28,14 +28,12 @@ struct WorkerState {
   std::string block_reason;
   /// Messages deposited to this worker and not yet received.
   std::int64_t mailbox_depth = 0;
-  /// Unclaimed chunks still published in this worker's loop deques.
-  std::int64_t loop_chunks_pending = 0;
   /// Pinned CPU / NUMA node under an active placement policy, -1/-1 when
   /// unpinned (see exec/topology.hpp).
   int cpu = -1;
   int node = -1;
   /// Backend-clock stamp of the worker's last runtime-service activity
-  /// (message, barrier, loop chunk, io); negative when unknown. The age
+  /// (message, barrier, io); negative when unknown. The age
   /// `now - last_beat` is the heartbeat staleness shown by /healthz.
   double last_beat = -1.0;
 };

@@ -34,8 +34,6 @@ PhaseReport phase_report(const TraceRecorder& rec) {
     p.io_wait += s.io_wait;
     p.messages += s.messages;
     p.bytes += s.bytes;
-    p.steals += s.steals;
-    p.stolen_iters += s.stolen_iters;
     p.plan_hits += s.plan_hits;
     p.plan_misses += s.plan_misses;
     // Depth-1 spans inclusively contain everything deeper, so summing them
@@ -88,24 +86,19 @@ std::string PhaseReport::to_string(std::size_t max_phases) const {
   }
   oss << "  (inclusive: nested spans also count toward their parents)\n";
 
-  // Second table: stealing and plan-cache activity, only for phases that
-  // saw any — these used to exist only at run level in utilization_report.
+  // Second table: plan-cache activity, only for phases that saw any —
+  // these used to exist only at run level in utilization_report.
   bool header = false;
   shown = 0;
   for (const PhaseStats& p : phases) {
-    if (p.steals == 0 && p.stolen_iters == 0 && p.plan_hits == 0 && p.plan_misses == 0) {
-      continue;
-    }
+    if (p.plan_hits == 0 && p.plan_misses == 0) continue;
     if (shown++ >= max_phases) break;
     if (!header) {
-      oss << "  phase                         steals stolen_iters  plan_hit plan_miss\n";
+      oss << "  phase                           plan_hit plan_miss\n";
       header = true;
     }
     char line[200];
-    std::snprintf(line, sizeof(line), "  %-30s %5llu %12llu %9llu %9llu\n",
-                  p.name.substr(0, 30).c_str(),
-                  static_cast<unsigned long long>(p.steals),
-                  static_cast<unsigned long long>(p.stolen_iters),
+    std::snprintf(line, sizeof(line), "  %-30s %9llu %9llu\n", p.name.substr(0, 30).c_str(),
                   static_cast<unsigned long long>(p.plan_hits),
                   static_cast<unsigned long long>(p.plan_misses));
     oss << line;

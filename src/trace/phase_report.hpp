@@ -32,8 +32,6 @@ struct PhaseStats {
   double io_wait = 0.0;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t steals = 0;        ///< stolen chunks completed inside this phase
-  std::uint64_t stolen_iters = 0;  ///< iterations those chunks covered
   std::uint64_t plan_hits = 0;     ///< redistribution plan-cache hits inside
   std::uint64_t plan_misses = 0;   ///< redistribution plan-cache misses inside
 

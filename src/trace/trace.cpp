@@ -39,7 +39,6 @@ void TraceRecorder::reset() {
   waits_.clear();
   messages_.clear();
   barriers_.clear();
-  steals_.clear();
 }
 
 double TraceRecorder::now(int proc) const {
@@ -141,19 +140,6 @@ void TraceRecorder::io_wait(int proc, double t0, double t1, int cause_proc,
   if (t1 > t0) add_wait(proc, WaitKind::Io, t0, t1, cause_proc, cause_time);
 }
 
-void TraceRecorder::steal_event(int thief, int victim, std::uint64_t iters, double t) {
-  if (thief < 0 || thief >= num_procs()) {
-    throw std::out_of_range("TraceRecorder::steal_event: bad thief rank");
-  }
-  touch(thief, t);
-  shards_[static_cast<std::size_t>(thief)].steals.push_back(StealRecord{thief, victim, iters, t});
-  // Attribute the steal to the thief's open directive nest.
-  for (Span& s : open_[static_cast<std::size_t>(thief)]) {
-    s.steals += 1;
-    s.stolen_iters += iters;
-  }
-}
-
 void TraceRecorder::plan_cache_event(int proc, bool hit) {
   if (proc < 0 || proc >= num_procs()) {
     throw std::out_of_range("TraceRecorder::plan_cache_event: bad proc");
@@ -189,8 +175,6 @@ void TraceRecorder::serialize_shard(int proc, std::vector<std::byte>& out) const
     put(out, s.io_wait);
     put(out, s.messages);
     put(out, s.bytes);
-    put(out, s.steals);
-    put(out, s.stolen_iters);
     put(out, s.plan_hits);
     put(out, s.plan_misses);
   }
@@ -198,7 +182,6 @@ void TraceRecorder::serialize_shard(int proc, std::vector<std::byte>& out) const
   put_vec(out, sh.sends);
   put_vec(out, sh.recvs);
   put_vec(out, sh.barriers);
-  put_vec(out, sh.steals);
   put(out, totals_[i]);
   put(out, placements_[i]);
   put(out, last_activity_[i]);
@@ -226,8 +209,6 @@ void TraceRecorder::absorb_shard(blob::Reader& in) {
     s.io_wait = in.get<double>();
     s.messages = in.get<std::uint64_t>();
     s.bytes = in.get<std::uint64_t>();
-    s.steals = in.get<std::uint64_t>();
-    s.stolen_iters = in.get<std::uint64_t>();
     s.plan_hits = in.get<std::uint64_t>();
     s.plan_misses = in.get<std::uint64_t>();
     sh.spans.push_back(std::move(s));
@@ -236,7 +217,6 @@ void TraceRecorder::absorb_shard(blob::Reader& in) {
   sh.sends = in.vec<MessageRecord>();
   sh.recvs = in.vec<RecvNote>();
   sh.barriers = in.vec<BarrierNote>();
-  sh.steals = in.vec<StealRecord>();
   shards_[i] = std::move(sh);
   totals_[i] = in.get<ProcTotals>();
   placements_[i] = in.get<PlacementRecord>();
@@ -389,13 +369,12 @@ void TraceRecorder::finalize(double finish) {
   for (Shard& sh : shards_) {
     std::move(sh.spans.begin(), sh.spans.end(), std::back_inserter(done_));
     waits_.insert(waits_.end(), sh.waits.begin(), sh.waits.end());
-    steals_.insert(steals_.end(), sh.steals.begin(), sh.steals.end());
   }
   shards_.assign(shards_.size(), Shard{});
   // Deterministic order for exporters: spans by processor, then open time,
   // then deeper-first so parents precede children only via (t0, depth);
-  // waits by start and steals by completion, interleaving the per-rank
-  // streams (each already in time order).
+  // waits by start, interleaving the per-rank streams (each already in
+  // time order).
   std::stable_sort(done_.begin(), done_.end(), [](const Span& a, const Span& b) {
     if (a.proc != b.proc) return a.proc < b.proc;
     if (a.t0 != b.t0) return a.t0 < b.t0;
@@ -403,10 +382,6 @@ void TraceRecorder::finalize(double finish) {
   });
   std::stable_sort(waits_.begin(), waits_.end(),
                    [](const Wait& a, const Wait& b) { return a.t0 < b.t0; });
-  std::stable_sort(steals_.begin(), steals_.end(), [](const StealRecord& a, const StealRecord& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.thief < b.thief;
-  });
 }
 
 }  // namespace fxpar::trace

@@ -62,8 +62,6 @@ struct Span {
   double io_wait = 0.0;       ///< waiting on the sequential I/O device
   std::uint64_t messages = 0; ///< messages deposited while open
   std::uint64_t bytes = 0;    ///< bytes deposited while open
-  std::uint64_t steals = 0;       ///< stolen chunks completed while open
-  std::uint64_t stolen_iters = 0; ///< iterations those chunks covered
   std::uint64_t plan_hits = 0;    ///< redistribution plan-cache hits while open
   std::uint64_t plan_misses = 0;  ///< redistribution plan-cache misses while open
 
@@ -105,17 +103,6 @@ struct BarrierRecord {
   std::vector<double> arrivals;  ///< parallel to `procs`
   double release = 0.0;
   int last_arriver = -1;
-};
-
-/// One stolen loop chunk (threaded backend, work stealing on): `thief` ran
-/// `iters` iterations of `victim`'s static block, finishing at `t` (real
-/// seconds). Steals are pure load balancing — they move work, not data
-/// ownership — so unlike Wait they carry no happens-before edge.
-struct StealRecord {
-  int thief = -1;
-  int victim = -1;
-  std::uint64_t iters = 0;
-  double t = 0.0;
 };
 
 /// Where a worker thread landed under MachineConfig::pinning (threaded
@@ -198,11 +185,6 @@ class TraceRecorder {
   /// previous operation's owner and completion time (else pass proc / t0).
   void io_wait(int proc, double t0, double t1, int cause_proc, double cause_time);
 
-  /// `thief` completed a stolen chunk of `iters` iterations owned by
-  /// `victim` at time `t`. Also bumps the steal counters of the thief's
-  /// open spans, so phase reports can localize stealing.
-  void steal_event(int thief, int victim, std::uint64_t iters, double t);
-
   /// Redistribution plan-cache hit (or miss) observed by `proc`: bumps the
   /// counters of `proc`'s open spans.
   void plan_cache_event(int proc, bool hit);
@@ -240,7 +222,6 @@ class TraceRecorder {
   const std::vector<Wait>& waits() const noexcept { return waits_; }
   const std::vector<MessageRecord>& messages() const noexcept { return messages_; }
   const std::vector<BarrierRecord>& barriers() const noexcept { return barriers_; }
-  const std::vector<StealRecord>& steals() const noexcept { return steals_; }
   const std::vector<PlacementRecord>& placements() const noexcept { return placements_; }
   const std::vector<ProcTotals>& proc_totals() const noexcept { return totals_; }
   double finish_time() const noexcept { return finish_; }
@@ -276,7 +257,6 @@ class TraceRecorder {
     std::vector<MessageRecord> sends;
     std::vector<RecvNote> recvs;
     std::vector<BarrierNote> barriers;
-    std::vector<StealRecord> steals;
   };
 
   double now(int proc) const;
@@ -301,7 +281,6 @@ class TraceRecorder {
   std::vector<Wait> waits_;
   std::vector<MessageRecord> messages_;
   std::vector<BarrierRecord> barriers_;
-  std::vector<StealRecord> steals_;
 };
 
 /// RAII closer for a span opened through Context::span(). Inert when

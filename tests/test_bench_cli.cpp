@@ -1,6 +1,6 @@
 // Tests for the shared bench CLI (bench/bench_common.hpp): flags with a
 // missing or invalid argument must exit 2 (automation depends on loud
-// failures, not silently mislabeled records), --work-stealing must reach
+// failures, not silently mislabeled records), tuning flags must reach
 // MachineConfig, and json_record must emit `null` for non-finite numbers so
 // every line stays parseable JSON for the perf-smoke gate.
 #include <gtest/gtest.h>
@@ -96,16 +96,6 @@ TEST(BenchCliDeathTest, TrailingMetricsOutExitsTwo) {
               testing::ExitedWithCode(2), "--metrics-out requires an argument");
 }
 
-TEST(BenchCliDeathTest, TrailingWorkStealingExitsTwo) {
-  EXPECT_EXIT({ run_init({"bench", "--work-stealing"}); std::exit(0); },
-              testing::ExitedWithCode(2), "--work-stealing requires an argument");
-}
-
-TEST(BenchCliDeathTest, InvalidWorkStealingExitsTwo) {
-  EXPECT_EXIT({ run_init({"bench", "--work-stealing", "maybe"}); std::exit(0); },
-              testing::ExitedWithCode(2), "--work-stealing must be 'on' or 'off'");
-}
-
 TEST(BenchCliDeathTest, TrailingObsPortExitsTwo) {
   EXPECT_EXIT({ run_init({"bench", "--obs-port"}); std::exit(0); },
               testing::ExitedWithCode(2), "--obs-port requires an argument");
@@ -129,29 +119,8 @@ TEST(BenchCliDeathTest, InvalidFlightRecorderExitsTwo) {
 }
 
 // ---------------------------------------------------------------------------
-// --work-stealing reaches MachineConfig
+// Tuning flags reach MachineConfig
 // ---------------------------------------------------------------------------
-
-TEST(BenchCli, WorkStealingToggleAppliesToConfig) {
-  OptionsGuard guard;
-
-  // Default: the CLI does not override the config.
-  fxbench::options() = fxbench::Options{};
-  auto cfg = fxpar::MachineConfig::paragon(4);
-  ASSERT_TRUE(cfg.work_stealing);  // on by default
-  EXPECT_TRUE(fxbench::apply_backend(cfg).work_stealing);
-
-  fxbench::options() = fxbench::Options{};
-  run_init({"bench", "--work-stealing", "off", "--backend", "threads"});
-  EXPECT_EQ(fxbench::options().work_stealing, 0);
-  EXPECT_FALSE(fxbench::apply_backend(cfg).work_stealing);
-
-  fxbench::options() = fxbench::Options{};
-  cfg.work_stealing = false;
-  run_init({"bench", "--work-stealing", "on"});
-  EXPECT_EQ(fxbench::options().work_stealing, 1);
-  EXPECT_TRUE(fxbench::apply_backend(cfg).work_stealing);
-}
 
 TEST(BenchCli, MetricsToggleAppliesToConfig) {
   OptionsGuard guard;
@@ -272,8 +241,7 @@ TEST(BenchCli, JsonRecordEmitsNullForNonFiniteValues) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   fxbench::json_record("sanitize/nonfinite", {{"case", "nonfinite"}}, inf, nan, 7,
-                       /*host_ms=*/nan, 0, 0, "threads", 4, /*wait_ms=*/inf,
-                       /*steals=*/3, /*stolen_iters=*/44);
+                       /*host_ms=*/nan, 0, 0, "threads", 4, /*wait_ms=*/inf);
 
   const auto lines = read_lines(record_sink_path());
   ASSERT_FALSE(lines.empty());
@@ -288,13 +256,13 @@ TEST(BenchCli, JsonRecordEmitsNullForNonFiniteValues) {
   EXPECT_EQ(rec.find("nan"), std::string::npos) << rec;
   // The finite fields still round-trip.
   EXPECT_NE(rec.find("\"comm_bytes\":7"), std::string::npos) << rec;
-  EXPECT_NE(rec.find("\"steals\":3,\"stolen_iters\":44"), std::string::npos) << rec;
+  EXPECT_NE(rec.find("\"threads\":4"), std::string::npos) << rec;
 }
 
 TEST(BenchCli, JsonRecordFiniteValuesAndOptionalFields) {
   fxbench::options().json_out = record_sink_path();
-  // steals < 0 means "not a threads run": the work-stealing fields must be
-  // absent, not zero, so the perf gate can tell the cases apart.
+  // Optional fields left at their defaults are absent, not zero, so the
+  // perf gate can tell "not provided" from a measured 0.
   fxbench::json_record("sanitize/finite", {{"case", "plain"}}, 1.5, 0.75, 10);
 
   const auto lines = read_lines(record_sink_path());
@@ -303,7 +271,9 @@ TEST(BenchCli, JsonRecordFiniteValuesAndOptionalFields) {
   ASSERT_NE(rec.find("\"name\":\"sanitize/finite\""), std::string::npos) << rec;
   EXPECT_NE(rec.find("\"time_s\":1.5"), std::string::npos) << rec;
   EXPECT_NE(rec.find("\"efficiency\":0.75"), std::string::npos) << rec;
-  EXPECT_EQ(rec.find("\"steals\""), std::string::npos) << rec;
+  EXPECT_EQ(rec.find("\"threads\""), std::string::npos) << rec;
+  EXPECT_EQ(rec.find("\"host_ms\""), std::string::npos) << rec;
+  EXPECT_EQ(rec.find("\"wait_ms\""), std::string::npos) << rec;
   EXPECT_EQ(rec.find("null"), std::string::npos) << rec;
   // Every record carries the process memory-pressure counters.
   EXPECT_NE(rec.find("\"minor_faults\":"), std::string::npos) << rec;

@@ -386,14 +386,14 @@ TEST(Trace, SimFftHistReportsArePinned) {
   reduce_vector                     8      0.0055   59.3%   40.7%    0.0%    0.0%        512
   setup                            10      0.0000    0.0%    0.0%    0.0%    0.0%          0
   (inclusive: nested spans also count toward their parents)
-  phase                         steals stolen_iters  plan_hit plan_miss
-  region:stream                      0            0        67         5
-  on:m0.i0                           0            0         7         1
-  on:m0.i1                           0            0         7         1
-  hist                               0            0        15         1
-  on:m1.i0                           0            0        15         1
-  broadcast                          0            0         8         0
-  reduce_vector                      0            0         7         1
+  phase                           plan_hit plan_miss
+  region:stream                         67         5
+  on:m0.i0                               7         1
+  on:m0.i1                               7         1
+  hist                                  15         1
+  on:m1.i0                              15         1
+  broadcast                              8         0
+  reduce_vector                          7         1
 )");
   EXPECT_EQ(tr::critical_path(rec).to_string(), R"(critical path: makespan 0.0294 s = execute 0.0258 s (88%) + msg delay 0.0020 s (7%) + barrier delay 0.0016 s (6%) + io delay 0.0000 s (0%)
   attributed to named spans: 100% of the path (54 steps)
@@ -427,33 +427,26 @@ TEST(Trace, IoWaitsAreSerializedAndAttributed) {
 }
 
 // ---------------------------------------------------------------------------
-// Steal / plan-cache span attribution and merged concurrent traces
+// Plan-cache span attribution and merged concurrent traces
 // ---------------------------------------------------------------------------
 
-TEST(Trace, StealAndPlanCacheEventsAttributeToOpenSpans) {
+TEST(Trace, PlanCacheEventsAttributeToOpenSpans) {
   tr::TraceRecorder rec(2);
   double t = 0.0;
   rec.set_clock([&](int) { return t; });
 
   rec.begin_span(0, "outer", "test");
   rec.begin_span(0, "loop", "test");
-  rec.steal_event(0, 1, 32, 0.5);
-  rec.steal_event(0, 1, 16, 0.7);
   rec.plan_cache_event(0, true);
   rec.plan_cache_event(0, true);
   rec.plan_cache_event(0, false);
   t = 1.0;
   rec.end_span(0);
   // Events after the inner span closed only reach the outer span.
-  rec.steal_event(0, 1, 8, 1.5);
+  rec.plan_cache_event(0, false);
   t = 2.0;
   rec.end_span(0);
   rec.finalize(2.0);
-
-  ASSERT_EQ(rec.steals().size(), 3u);
-  EXPECT_EQ(rec.steals()[0].thief, 0);
-  EXPECT_EQ(rec.steals()[0].victim, 1);
-  EXPECT_EQ(rec.steals()[0].iters, 32u);
 
   const tr::Span* outer = nullptr;
   const tr::Span* loop = nullptr;
@@ -463,24 +456,19 @@ TEST(Trace, StealAndPlanCacheEventsAttributeToOpenSpans) {
   }
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(loop, nullptr);
-  EXPECT_EQ(loop->steals, 2u);
-  EXPECT_EQ(loop->stolen_iters, 48u);
   EXPECT_EQ(loop->plan_hits, 2u);
   EXPECT_EQ(loop->plan_misses, 1u);
-  EXPECT_EQ(outer->steals, 3u);  // inclusive, like the time accounting
-  EXPECT_EQ(outer->stolen_iters, 56u);
-  EXPECT_EQ(outer->plan_hits, 2u);
-  EXPECT_EQ(outer->plan_misses, 1u);
+  EXPECT_EQ(outer->plan_hits, 2u);  // inclusive, like the time accounting
+  EXPECT_EQ(outer->plan_misses, 2u);
 }
 
-TEST(Trace, PhaseReportSurfacesStealAndPlanCacheCounters) {
+TEST(Trace, PhaseReportSurfacesPlanCacheCounters) {
   tr::TraceRecorder rec(1);
   double t = 0.0;
   rec.set_clock([&](int) { return t; });
   rec.begin_span(0, "program", "root");
   rec.begin_span(0, "loop", "test");
   rec.add_busy(0, 1.0);
-  rec.steal_event(0, 0, 64, 0.5);
   rec.plan_cache_event(0, true);
   rec.plan_cache_event(0, false);
   t = 1.0;
@@ -501,25 +489,23 @@ TEST(Trace, PhaseReportSurfacesStealAndPlanCacheCounters) {
   }
   ASSERT_NE(loop, nullptr);
   ASSERT_NE(quiet, nullptr);
-  EXPECT_EQ(loop->steals, 1u);
-  EXPECT_EQ(loop->stolen_iters, 64u);
   EXPECT_EQ(loop->plan_hits, 1u);
   EXPECT_EQ(loop->plan_misses, 1u);
-  EXPECT_EQ(quiet->steals, 0u);
+  EXPECT_EQ(quiet->plan_hits + quiet->plan_misses, 0u);
 
-  // The steal/plan table appears, lists the active phase only.
+  // The plan-cache table appears, lists the active phase only.
   const std::string text = rep.to_string();
-  EXPECT_NE(text.find("steals stolen_iters"), std::string::npos);
-  const std::size_t table = text.find("steals stolen_iters");
+  EXPECT_NE(text.find("plan_hit plan_miss"), std::string::npos);
+  const std::size_t table = text.find("plan_hit plan_miss");
   EXPECT_NE(text.find("loop", table), std::string::npos);
   EXPECT_EQ(text.find("quiet", table), std::string::npos);
 }
 
-TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
+TEST(Trace, MergedConcurrentTraceCriticalPath) {
   // Hand-built two-worker trace, recorded with elapsed-time busy exactly as
   // the threaded backend does: rank 0 produces over [0, 1.0] and deposits
   // a message; rank 1 blocks on the receive until 1.2, then consumes over
-  // [1.2, 2.2], completing one stolen chunk on the way. After finalize()
+  // [1.2, 2.2], looking up one cached plan on the way. After finalize()
   // merges the shards the analyzers must see one coherent run.
   tr::TraceRecorder rec(2, tr::TraceRecorder::Busy::Elapsed);
   double c[2] = {0.0, 0.0};
@@ -536,7 +522,7 @@ TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
   rec.message_received(1, 0, 7, 0.0, 1.2);
   c[1] = 1.2;
   rec.begin_span(1, "consume", "test");
-  rec.steal_event(1, 0, 16, 1.7);
+  rec.plan_cache_event(1, true);
   c[1] = 2.2;
   rec.end_span(1);
   rec.end_span(1);
@@ -544,20 +530,16 @@ TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
   rec.finalize(2.2);
 
   // Merged streams: the sender-shard message carries the receiver's
-  // consumption time; the thief-shard steal survives the merge.
+  // consumption time; the receiver-shard span keeps its plan-cache hit.
   ASSERT_EQ(rec.messages().size(), 1u);
   EXPECT_DOUBLE_EQ(rec.messages()[0].recv_t, 1.2);
-  ASSERT_EQ(rec.steals().size(), 1u);
-  EXPECT_EQ(rec.steals()[0].thief, 1);
-  EXPECT_EQ(rec.steals()[0].victim, 0);
 
   const tr::Span* consume = nullptr;
   for (const tr::Span& s : rec.spans()) {
     if (s.name == "consume") consume = &s;
   }
   ASSERT_NE(consume, nullptr);
-  EXPECT_EQ(consume->steals, 1u);
-  EXPECT_EQ(consume->stolen_iters, 16u);
+  EXPECT_EQ(consume->plan_hits, 1u);
   EXPECT_DOUBLE_EQ(consume->busy, 1.0);  // elapsed minus waits
 
   const tr::CriticalPathReport cp = tr::critical_path(rec);
