@@ -103,10 +103,13 @@ inline long int_flag(int argc, char** argv, const char* flag, long def, long lo,
   return v;
 }
 
-/// Parses the shared bench flags; unknown arguments are ignored so benches
-/// can add their own. Call at the top of main().
-inline void init(int argc, char** argv) {
+/// Parses the shared bench flags and returns the arguments it did not
+/// consume, argv[0] first, so benches can parse their own flags (or hand
+/// them to Google Benchmark) from the result. --help prints the shared
+/// flag block and is passed on too. Call at the top of main().
+inline std::vector<char*> init(int argc, char** argv) {
   Options& o = options();
+  std::vector<char*> rest{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&](const char* flag) -> std::string {
@@ -212,8 +215,12 @@ inline void init(int argc, char** argv) {
                   "  --flight-recorder on|off\n"
                   "                      bounded ring of recent runtime events, dumped at\n"
                   "                      /trace and in diagnostic bundles (default: off)\n");
+      rest.push_back(argv[i]);
+    } else {
+      rest.push_back(argv[i]);
     }
   }
+  return rest;
 }
 
 /// For benches that run on the simulator only: exits 2 with a message

@@ -563,6 +563,7 @@ int run_qsort_scaling() {
   struct Leg {
     std::unique_ptr<Machine> machine;
     double best_ms = 0.0;
+    std::int64_t min_faults = 0;  ///< process-wide minor faults in the sort phase
     bool identical = true;
   };
   std::array<Leg, kProcs.size()> legs;
@@ -574,6 +575,7 @@ int run_qsort_scaling() {
   for (int rep = 0; rep < kReps; ++rep) {
     for (Leg& leg : legs) {
       double phase_ms = 0.0;
+      std::int64_t faults = 0;
       std::vector<std::int64_t> sorted;
       leg.machine->run([&](Context& ctx) {
         ds::DistArray<std::int64_t> a(ctx, ds::Layout(ctx.group(), {n}, {ds::DimDist::block()}),
@@ -582,15 +584,21 @@ int run_qsort_scaling() {
           return input[static_cast<std::size_t>(g[0])];
         });
         ctx.barrier();
+        const std::int64_t minflt0 =
+            ctx.phys_rank() == 0 ? fxbench::detail::rusage_now().minflt : 0;
         const fxbench::HostTimer timer;
         ap::parallel_qsort(ctx, a);
         ctx.barrier();
-        if (ctx.phys_rank() == 0) phase_ms = timer.ms();
+        if (ctx.phys_rank() == 0) {
+          phase_ms = timer.ms();
+          faults = fxbench::detail::rusage_now().minflt - minflt0;
+        }
         auto full = ds::gather_full(ctx, a, 0);
         if (ctx.phys_rank() == 0) sorted = std::move(full);
       });
       leg.identical = leg.identical && sorted == expect;
       if (rep == 0 || phase_ms < leg.best_ms) leg.best_ms = phase_ms;
+      if (rep == 0 || faults < leg.min_faults) leg.min_faults = faults;
     }
   }
 
@@ -607,11 +615,13 @@ int run_qsort_scaling() {
         {"procs", std::to_string(kProcs[i])},
         {"reps", std::to_string(kReps)},
         {"identical", leg.identical ? "true" : "false"},
-        {"speedup_vs_p1", std::to_string(speedup)}};
+        {"speedup_vs_p1", std::to_string(speedup)},
+        {"minor_faults", std::to_string(leg.min_faults)}};
     fxbench::json_record("micro/qsort_scaling/p" + std::to_string(kProcs[i]), params,
                          leg.best_ms * 1e-3, 1.0, 0, leg.best_ms, 0, 0, "threads", kProcs[i]);
-    std::printf("  p=%d: sort phase %8.2f ms  (%.2fx over p=1)%s\n", kProcs[i], leg.best_ms,
-                speedup, leg.identical ? "" : "  DIFFERS from std::sort");
+    std::printf("  p=%d: sort phase %8.2f ms  (%.2fx over p=1), %lld minor faults%s\n",
+                kProcs[i], leg.best_ms, speedup, static_cast<long long>(leg.min_faults),
+                leg.identical ? "" : "  DIFFERS from std::sort");
   }
   return all_identical ? 0 : 1;
 }
@@ -619,15 +629,15 @@ int run_qsort_scaling() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  fxbench::init(argc, argv);
+  const std::vector<char*> rest = fxbench::init(argc, argv);
   bool compare = false;
   bool collective_compare = false;
   bool sort_compare = false;
   bool qsort_scaling = false;
-  // Strip the fxbench flags before handing the rest to google-benchmark.
-  std::vector<char*> gb_args{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
+  // Hand everything but the mode flags to google-benchmark.
+  std::vector<char*> gb_args{rest[0]};
+  for (std::size_t i = 1; i < rest.size(); ++i) {
+    const std::string a = rest[i];
     if (a == "--redist-compare") {
       compare = true;
     } else if (a == "--collective-compare") {
@@ -636,14 +646,8 @@ int main(int argc, char** argv) {
       sort_compare = true;
     } else if (a == "--qsort-scaling") {
       qsort_scaling = true;
-    } else if (a == "--json-out" || a == "--trace-out" || a == "--backend" ||
-               a == "--transport" || a == "--threads" || a == "--pinning" ||
-               a == "--metrics" || a == "--metrics-out") {
-      ++i;
-    } else if (a == "--trace-report") {
-      // consumed by fxbench::init
     } else {
-      gb_args.push_back(argv[i]);
+      gb_args.push_back(rest[i]);
     }
   }
   if (compare || collective_compare || sort_compare || qsort_scaling) {

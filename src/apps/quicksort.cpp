@@ -20,7 +20,7 @@ using machine::Context;
 using pgroup::ProcessorGroup;
 
 constexpr double kClassifyOpsPerElem = 3.0;
-constexpr std::size_t kPivotSamples = 31;   // per member
+constexpr std::size_t kPivotSamples = 255;  // per member
 constexpr double kSelectOpsPerSample = 2.0;  // nth_element's expected work
 constexpr int kDigitBits = 11;
 constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;

@@ -2,7 +2,7 @@
 // (paper Section 3.4, Figure 4).
 //
 // The array is block-distributed over the current processors. Each level
-// picks a pivot — the median of up to 31 evenly spaced keys from every
+// picks a pivot — the median of up to 255 evenly spaced keys from every
 // member's block, gathered at virtual rank 0 and broadcast — counts
 // elements below/equal/above it, sizes two subgroups proportionally
 // (compute_subgroup_sizes), redistributes the elements into subgroup-mapped

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "dist/layout.hpp"
-#include "exec/topology.hpp"
 #include "machine/context.hpp"
 
 namespace fxpar::dist {
@@ -205,11 +204,11 @@ class DistArray {
   int my_vrank_ = -1;
   std::vector<std::int64_t> local_extents_;
   std::vector<DimParam> dims_;
-  /// First-touch backed local block: large blocks come from fresh mmap
-  /// pages, so the constructing processor's assign() below faults them on
-  /// its own NUMA node (under a pinning policy, the node its worker is
-  /// pinned to). Callers only ever see this through std::span.
-  std::vector<T, exec::FirstTouchAllocator<T>> local_;
+  /// The local block, zero-filled by the constructing processor: fresh
+  /// pages fault on its worker's NUMA node, and a freed block returns to
+  /// that worker's malloc arena for its next array to reuse (see
+  /// exec/topology.hpp). Callers only ever see this through std::span.
+  std::vector<T> local_;
 };
 
 }  // namespace fxpar::dist

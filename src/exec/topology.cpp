@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <thread>
 
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>
-#include <sys/mman.h>
 
 #include <filesystem>
 #endif
@@ -220,34 +218,5 @@ bool pin_current_thread(const WorkerPlacement& p) noexcept {
   return false;
 #endif
 }
-
-namespace detail {
-
-void* first_touch_alloc(std::size_t bytes) {
-  if (bytes == 0) bytes = 1;
-#ifdef __linux__
-  if (bytes >= kFirstTouchMmapBytes) {
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    return p;
-  }
-#endif
-  return ::operator new(bytes);
-}
-
-void first_touch_free(void* p, std::size_t bytes) noexcept {
-  if (p == nullptr) return;
-  if (bytes == 0) bytes = 1;
-#ifdef __linux__
-  if (bytes >= kFirstTouchMmapBytes) {
-    ::munmap(p, bytes);
-    return;
-  }
-#endif
-  ::operator delete(p);
-}
-
-}  // namespace detail
 
 }  // namespace fxpar::exec

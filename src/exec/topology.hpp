@@ -25,11 +25,13 @@
 //                 node, so halo traffic stays node-local.
 //     Workers wrap around when there are more of them than CPUs.
 //
-//   - FirstTouchAllocator: a std::vector-compatible allocator that mmaps
-//     large blocks, so pages are faulted in by the first *writing* thread
-//     and land on that thread's NUMA node — which, combined with pinning,
-//     gives each worker node-local array storage with no libnuma
-//     dependency.
+// Data placement needs no allocator of its own. DistArray blocks are plain
+// std::vectors, constructed and zero-filled by the owning worker, so a
+// fresh page faults on that worker's NUMA node (Linux's first-touch rule).
+// A freed block returns to the malloc arena it came from, the owning
+// worker's own, and that worker's next block reuses its pages. Workers are
+// spawned per run, so on a multi-node host a later run's worker may
+// inherit an arena whose pages sit on another node.
 //
 // Pinning is a host-side placement concern only: it never changes modeled
 // time, message order, or any computed result on either backend.
@@ -37,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -105,40 +106,5 @@ bool pin_current_thread(const WorkerPlacement& p) noexcept;
 /// Parses a sysfs cpulist string ("0-3,8,10-11") into ascending CPU ids.
 /// Exposed for tests; tolerant of trailing whitespace/newline.
 std::vector<int> parse_cpulist(const std::string& s);
-
-namespace detail {
-/// Allocation backend of FirstTouchAllocator: mmap for blocks of at least
-/// kFirstTouchMmapBytes (fresh anonymous pages fault on the first writer's
-/// node), operator new below that (small blocks don't justify a syscall
-/// and page-granular rounding).
-inline constexpr std::size_t kFirstTouchMmapBytes = 64 * 1024;
-void* first_touch_alloc(std::size_t bytes);
-void first_touch_free(void* p, std::size_t bytes) noexcept;
-}  // namespace detail
-
-/// std::allocator drop-in whose large blocks come from fresh anonymous
-/// mmap pages, so physical placement follows the first writing thread
-/// (the NUMA "first touch" rule). DistArray routes its local storage
-/// through this: each worker constructs and fills its own block, so with
-/// a pinning policy active the block lands on the worker's own node.
-template <typename T>
-struct FirstTouchAllocator {
-  using value_type = T;
-
-  FirstTouchAllocator() noexcept = default;
-  template <typename U>
-  FirstTouchAllocator(const FirstTouchAllocator<U>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(detail::first_touch_alloc(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    detail::first_touch_free(p, n * sizeof(T));
-  }
-
-  friend bool operator==(const FirstTouchAllocator&, const FirstTouchAllocator&) noexcept {
-    return true;
-  }
-};
 
 }  // namespace fxpar::exec

@@ -19,12 +19,14 @@
 
 namespace {
 
-// Runs fxbench::init on a mutable copy of `args` (argv[0] included).
-void run_init(std::vector<std::string> args) {
+// Runs fxbench::init on a mutable copy of `args` (argv[0] included) and
+// returns the arguments it left unconsumed.
+std::vector<std::string> run_init(std::vector<std::string> args) {
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (auto& a : args) argv.push_back(a.data());
-  fxbench::init(static_cast<int>(argv.size()), argv.data());
+  const std::vector<char*> rest = fxbench::init(static_cast<int>(argv.size()), argv.data());
+  return {rest.begin(), rest.end()};
 }
 
 // bench_exec's --sets parse: fxbench::int_flag over [1, 100000], default 8.
@@ -163,6 +165,19 @@ TEST(BenchCli, ObservabilityFlagsApplyToConfig) {
   run_init({"bench", "--obs-port", "0", "--flight-recorder", "off"});
   EXPECT_EQ(fxbench::options().obs_port, 0);  // ephemeral port is a valid ask
   EXPECT_EQ(fxbench::options().flight_recorder, 0);
+}
+
+// Every common flag is consumed by init, so a bench that hands the rest to
+// Google Benchmark (bench_micro) never passes it a flag it cannot parse.
+TEST(BenchCli, InitLeavesOnlyUnconsumedArguments) {
+  OptionsGuard guard;
+  const std::vector<std::string> rest = run_init(
+      {"bench_micro", "--json-out", "-", "--trace-out", "t.json", "--backend", "threads",
+       "--transport", "tcp", "--threads", "4", "--pinning", "compact", "--metrics", "off",
+       "--metrics-out", "m.prom", "--obs-port", "0", "--flight-recorder", "on",
+       "--trace-report", "--redist-compare", "--benchmark_filter=x"});
+  EXPECT_EQ(rest, (std::vector<std::string>{"bench_micro", "--redist-compare",
+                                            "--benchmark_filter=x"}));
 }
 
 // ---------------------------------------------------------------------------

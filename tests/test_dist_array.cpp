@@ -2,8 +2,23 @@
 // iteration, fill).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "dist/dist_array.hpp"
 #include "machine/context.hpp"
+
+#if defined(__unix__)
+#include <sys/resource.h>
+#endif
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FXPAR_SANITIZED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FXPAR_SANITIZED_ALLOCATOR 1
+#endif
+#endif
 
 namespace ds = fxpar::dist;
 namespace mx = fxpar::machine;
@@ -117,4 +132,41 @@ TEST(DistArray, NonMemberFillIsNoop) {
       for (int x : a.local()) EXPECT_EQ(x, 9);
     }
   });
+}
+
+TEST(DistArray, WorkerReusesFreedBlocksWithoutFreshPages) {
+#if defined(FXPAR_SANITIZED_ALLOCATOR) || !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc malloc; sanitizer allocators quarantine freed blocks";
+#else
+  // Each rank builds and drops a 2 MiB block six times. The first free
+  // raises glibc's mmap threshold past the block size, so from the third
+  // round on every block comes from the worker's own arena, in pages it
+  // already faulted in (a fresh mapping costs 512 faults per round).
+  constexpr int kRounds = 6;
+  constexpr int kWarmRounds = 2;
+  constexpr std::int64_t kMaxWarmFaults = 64;
+  auto c = cfg(4);
+  c.backend = fxpar::exec::BackendKind::Threads;
+  mx::Machine m(c);
+  std::array<std::int64_t, 4> faults{};
+  m.run([&](mx::Context& ctx) {
+    const ds::Layout layout(pg::ProcessorGroup::identity(4), {std::int64_t{1} << 20},
+                            {ds::DimDist::block()});
+    auto minflt = [] {
+      struct rusage ru;
+      getrusage(RUSAGE_THREAD, &ru);
+      return static_cast<std::int64_t>(ru.ru_minflt);
+    };
+    std::int64_t warm = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      if (round == kWarmRounds) warm = minflt();
+      ds::DistArray<std::int64_t> a(ctx, layout, "block");
+      a.fill([round](std::span<const std::int64_t> g) { return g[0] + round; });
+    }
+    faults[static_cast<std::size_t>(ctx.phys_rank())] = minflt() - warm;
+  });
+  for (std::size_t r = 0; r < faults.size(); ++r) {
+    EXPECT_LE(faults[r], kMaxWarmFaults) << "rank " << r;
+  }
+#endif
 }

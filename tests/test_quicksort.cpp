@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/quicksort.hpp"
 
@@ -266,8 +267,8 @@ TEST(Quicksort, ModeledCostIsPinned) {
     std::uint64_t messages, bytes, barriers;
   };
   const Pin pins[] = {
-      {4096, 7, 0x1.681a0b51694b4p-5, 134, 109464, 56},
-      {1 << 16, 11, 0x1.a2bc451a52f91p-4, 134, 1667984, 56},
+      {4096, 7, 0x1.6b4be5237b076p-5, 132, 136152, 56},
+      {1 << 16, 11, 0x1.97227ce669ba3p-4, 132, 1668736, 56},
   };
   for (const Pin& pin : pins) {
     for (bool plan_cache : {true, false}) {
@@ -289,9 +290,10 @@ TEST(Quicksort, ModeledCostIsPinned) {
 TEST(Quicksort, SampledPivotBalancesLeaves) {
   // The pivot is the median of evenly spaced samples, so each binary split
   // halves the keys and no rank's leaf dwarfs the others: the busiest
-  // rank's modeled busy time stays within 1.35x of the mean. (The old
+  // rank's modeled busy time stays close to the mean. Over these 12 inputs
+  // it measured at most 1.070x on p=4 and 1.143x on p=8. (The old
   // midpoint-key rule measured a median of 1.72x and up to 2.33x on p=4.)
-  for (int procs : {4, 8}) {
+  for (const auto& [procs, bound] : {std::pair{4, 1.10}, std::pair{8, 1.17}}) {
     for (unsigned s = 0; s < 12; ++s) {
       const auto input = ap::qsort_input(1 << 16, s * 1000 + 1);
       auto expect = input;
@@ -305,7 +307,7 @@ TEST(Quicksort, SampledPivotBalancesLeaves) {
         busiest = std::max(busiest, c.busy);
         total += c.busy;
       }
-      EXPECT_LE(busiest / (total / procs), 1.35) << "p=" << procs << " seed=" << s * 1000 + 1;
+      EXPECT_LE(busiest / (total / procs), bound) << "p=" << procs << " seed=" << s * 1000 + 1;
     }
   }
 }

@@ -1,11 +1,10 @@
 // Tests for the host-topology probe and worker pinning (exec/topology.hpp):
 // cpulist parsing, pin-plan construction on synthetic topologies, the
-// FX_NO_NUMA flat fallback, the first-touch allocator, the machine's
-// sharded payload pool, and a threaded-backend pinning smoke run.
+// FX_NO_NUMA flat fallback, the machine's sharded payload pool, and a
+// threaded-backend pinning smoke run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <numeric>
 #include <vector>
 
 #include "exec/topology.hpp"
@@ -119,21 +118,6 @@ TEST(Topology, DetectAlwaysYieldsUsableShape) {
     ASSERT_EQ(plan.size(), 16u);
     for (const auto& w : plan) EXPECT_GE(w.cpu, 0);
   }
-}
-
-TEST(Topology, FirstTouchAllocatorServesSmallAndLargeBlocks) {
-  // Small block: operator-new path.
-  std::vector<double, ex::FirstTouchAllocator<double>> small(32, 1.5);
-  EXPECT_DOUBLE_EQ(std::accumulate(small.begin(), small.end(), 0.0), 48.0);
-  // Large block: mmap path (>= kFirstTouchMmapBytes).
-  const std::size_t n = (2 * ex::detail::kFirstTouchMmapBytes) / sizeof(double);
-  std::vector<double, ex::FirstTouchAllocator<double>> big(n);
-  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<double>(i % 7);
-  double sum = 0;
-  for (double v : big) sum += v;
-  EXPECT_GT(sum, 0.0);
-  big.clear();
-  big.shrink_to_fit();  // exercises deallocate on the mmap path
 }
 
 TEST(Topology, PoolSpillCounterCountsShardOverflow) {
