@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -53,65 +55,151 @@ class PooledScratch {
   machine::Payload buf_;
 };
 
-/// Scatters the selected elements of every parent processor into `target`
-/// (block-distributed over a subgroup of `parent`). `mine` holds this
-/// processor's selected elements in local order; `counts[v]` the selection
-/// count of parent virtual rank v (identical knowledge on every member, so
-/// sender/receiver pairs are computed symmetrically and no empty messages
-/// are exchanged — the paper's localization rule). Payloads are packed
-/// straight from `mine` and copied straight into the target block; the
-/// self part never leaves `mine`.
-void scatter_selected(Context& ctx, const ProcessorGroup& parent,
-                      std::span<const std::int64_t> mine,
-                      const std::vector<std::int64_t>& counts, DistArray<std::int64_t>& target) {
+/// `count` copies of `key`: the keys equal to one level's pivot.
+struct PivotRun {
+  std::int64_t key;
+  std::int64_t count;
+};
+
+/// A read-only stretch of a sequence: the runs in `head`, then `keys`, then
+/// the runs in `tail`.
+struct PieceView {
+  std::span<const PivotRun> head;
+  std::span<const std::int64_t> keys;
+  std::span<const PivotRun> tail;
+
+  std::int64_t size() const {
+    std::int64_t n = static_cast<std::int64_t>(keys.size());
+    for (const PivotRun& r : head) n += r.count;
+    for (const PivotRun& r : tail) n += r.count;
+    return n;
+  }
+
+  /// Writes elements [from, from + count) of the stretch to `dst`.
+  void copy(std::int64_t from, std::int64_t count, std::int64_t* dst) const {
+    const auto take = [&](std::int64_t len, auto&& write) {
+      if (from >= len) {
+        from -= len;
+        return;
+      }
+      const std::int64_t k = std::min(count, len - from);
+      write(from, k);
+      dst += k;
+      count -= k;
+      from = 0;
+    };
+    const auto runs = [&](std::span<const PivotRun> rs) {
+      for (const PivotRun& r : rs) {
+        take(r.count, [&](std::int64_t, std::int64_t k) { std::fill_n(dst, k, r.key); });
+      }
+    };
+    runs(head);
+    take(static_cast<std::int64_t>(keys.size()), [&](std::int64_t at, std::int64_t k) {
+      if (k > 0) {
+        std::memcpy(dst, keys.data() + at, static_cast<std::size_t>(k) * sizeof(std::int64_t));
+      }
+    });
+    runs(tail);
+  }
+};
+
+/// One rank's share of its group's sorted keys, in virtual rank order.
+/// `keys` is a leaf array's block, moved up the recursion, never copied.
+struct Piece {
+  std::vector<PivotRun> head;
+  std::vector<std::int64_t> keys;
+  std::vector<PivotRun> tail;
+
+  PieceView view() const { return {head, keys, tail}; }
+};
+
+/// Calls fn(global_start, length, local_offset) for each overlap of the
+/// global range [lo, hi) with `runs`, one member's ascending owned runs of
+/// a 1-D layout; local_offset is the overlap's index in its local block.
+template <typename Fn>
+void for_each_overlap(const std::vector<dist::IndexRun>& runs, std::int64_t lo, std::int64_t hi,
+                      Fn&& fn) {
+  std::int64_t local = 0;
+  for (const dist::IndexRun& r : runs) {
+    if (r.start >= hi) break;
+    const std::int64_t s = std::max(lo, r.start);
+    const std::int64_t e = std::min(hi, r.start + r.len);
+    if (s < e) fn(s, e - s, local + (s - r.start));
+    local += r.len;
+  }
+}
+
+std::int64_t overlap_length(const std::vector<dist::IndexRun>& runs, std::int64_t lo,
+                            std::int64_t hi) {
+  std::int64_t n = 0;
+  for_each_overlap(runs, lo, hi, [&](std::int64_t, std::int64_t k, std::int64_t) { n += k; });
+  return n;
+}
+
+/// Scatters a sequence held in pieces, one per member of `parent` in virtual
+/// rank order, into `target`: any 1-D layout over `parent` or a subgroup of
+/// it. `mine` is this processor's piece; `counts[v]` the length of parent
+/// virtual rank v's (identical knowledge on every member, so sender/receiver
+/// pairs are computed symmetrically and no empty messages are exchanged —
+/// the paper's localization rule). Payloads are packed straight from the
+/// pieces and copied straight into the target block; the self part goes
+/// straight across.
+void scatter_piece(Context& ctx, const ProcessorGroup& parent, const PieceView& mine,
+                   const std::vector<std::int64_t>& counts, DistArray<std::int64_t>& target) {
   const int P = parent.size();
   const int me = parent.virtual_of(ctx.phys_rank());
-  if (me < 0) throw std::logic_error("scatter_selected: caller outside parent group");
+  if (me < 0) throw std::logic_error("scatter_piece: caller outside parent group");
   std::vector<std::int64_t> off(static_cast<std::size_t>(P + 1), 0);
   for (int v = 0; v < P; ++v) off[static_cast<std::size_t>(v + 1)] = off[static_cast<std::size_t>(v)] + counts[static_cast<std::size_t>(v)];
   const std::uint64_t tag = ctx.collective_tag(parent);
   const Layout& tl = target.layout();
   const ProcessorGroup& tg = tl.group();
+  constexpr auto kKey = static_cast<std::int64_t>(sizeof(std::int64_t));
 
   // Send phase.
   const std::int64_t my_lo = off[static_cast<std::size_t>(me)];
-  const std::int64_t my_hi = my_lo + static_cast<std::int64_t>(mine.size());
+  const std::int64_t my_hi = off[static_cast<std::size_t>(me + 1)];
   for (int r = 0; r < tg.size(); ++r) {
     const auto runs = tl.owned_runs(r, 0);
-    if (runs.empty()) continue;
-    const std::int64_t lo = std::max(my_lo, runs.front().start);
-    const std::int64_t hi = std::min(my_hi, runs.front().start + runs.front().len);
-    if (lo >= hi) continue;
-    const auto part = mine.subspan(static_cast<std::size_t>(lo - my_lo),
-                                   static_cast<std::size_t>(hi - lo));
-    ctx.charge_mem_bytes(static_cast<double>(part.size_bytes()));
-    if (tg.physical(r) != ctx.phys_rank()) {
-      ctx.send_phys(tg.physical(r), tag, comm::pack_span_pooled(ctx.machine(), part));
-    }
+    const std::int64_t len = overlap_length(runs, my_lo, my_hi);
+    if (len == 0) continue;
+    ctx.charge_mem_bytes(static_cast<double>(len * kKey));
+    if (tg.physical(r) == ctx.phys_rank()) continue;
+    machine::Payload p = ctx.machine().pool_acquire(static_cast<std::size_t>(len * kKey));
+    std::int64_t* dst = ::new (static_cast<void*>(p.data())) std::int64_t[len];
+    for_each_overlap(runs, my_lo, my_hi, [&](std::int64_t g, std::int64_t k, std::int64_t) {
+      mine.copy(g - my_lo, k, dst);
+      dst += k;
+    });
+    ctx.send_phys(tg.physical(r), tag, std::move(p));
   }
 
   // Receive phase.
   const int tme = tg.virtual_of(ctx.phys_rank());
   if (tme < 0) return;
   const auto my_runs = tl.owned_runs(tme, 0);
-  if (my_runs.empty()) return;
-  const std::int64_t lo = my_runs.front().start;
-  const std::int64_t hi = lo + my_runs.front().len;
   std::int64_t* const local = target.local().data();
   for (int s = 0; s < P; ++s) {
-    const std::int64_t s_lo = std::max(off[static_cast<std::size_t>(s)], lo);
-    const std::int64_t s_hi = std::min(off[static_cast<std::size_t>(s + 1)], hi);
-    if (s_lo >= s_hi) continue;
-    const std::size_t bytes = static_cast<std::size_t>(s_hi - s_lo) * sizeof(std::int64_t);
+    const std::int64_t s_lo = off[static_cast<std::size_t>(s)];
+    const std::int64_t s_hi = off[static_cast<std::size_t>(s + 1)];
+    const std::int64_t len = overlap_length(my_runs, s_lo, s_hi);
+    if (len == 0) continue;
+    ctx.charge_mem_bytes(static_cast<double>(len * kKey));
     if (s == me) {
-      ctx.charge_mem_bytes(static_cast<double>(bytes));
-      std::memcpy(local + (s_lo - lo), mine.data() + (s_lo - my_lo), bytes);
+      for_each_overlap(my_runs, s_lo, s_hi, [&](std::int64_t g, std::int64_t k, std::int64_t l) {
+        mine.copy(g - s_lo, k, local + l);
+      });
       continue;
     }
     machine::Payload data = ctx.recv_phys(parent.physical(s), tag);
-    if (data.size() != bytes) throw std::logic_error("scatter_selected: payload size mismatch");
-    ctx.charge_mem_bytes(static_cast<double>(bytes));
-    std::memcpy(local + (s_lo - lo), data.data(), bytes);
+    if (static_cast<std::int64_t>(data.size()) != len * kKey) {
+      throw std::logic_error("scatter_piece: payload size mismatch");
+    }
+    const std::byte* src = data.data();
+    for_each_overlap(my_runs, s_lo, s_hi, [&](std::int64_t, std::int64_t k, std::int64_t l) {
+      std::memcpy(local + l, src, static_cast<std::size_t>(k * kKey));
+      src += k * kKey;
+    });
     ctx.machine().pool_release(std::move(data));
   }
 }
@@ -125,19 +213,6 @@ std::vector<std::int64_t> pivot_sample(std::span<const std::int64_t> block) {
   std::vector<std::int64_t> s(k);
   for (std::size_t i = 0; i < k; ++i) s[i] = block[(2 * i + 1) * m / (2 * k)];
   return s;
-}
-
-/// Writes `pivot` into the global index range [first, first+count) of `a`
-/// (purely local stores on the owners).
-void write_pivot_range(DistArray<std::int64_t>& a, std::int64_t first, std::int64_t count,
-                       std::int64_t pivot) {
-  if (!a.is_member() || count == 0) return;
-  const auto runs = a.layout().owned_runs(a.my_vrank(), 0);
-  for (const auto& run : runs) {
-    const std::int64_t lo = std::max(first, run.start);
-    const std::int64_t hi = std::min(first + count, run.start + run.len);
-    for (std::int64_t i = lo; i < hi; ++i) a.at(i) = pivot;
-  }
 }
 
 }  // namespace
@@ -195,29 +270,35 @@ void leaf_sort(machine::Machine& m, std::span<std::int64_t> keys) {
   if (from != keys.data()) std::memcpy(keys.data(), from, n * sizeof(std::int64_t));
 }
 
-void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
-  if (a.layout().ndims() != 1) {
-    throw std::invalid_argument("parallel_qsort: array '" + a.name() + "' must be 1-D, got " +
-                                std::to_string(a.layout().ndims()) + "-D");
-  }
-  const std::int64_t n = a.layout().extent(0);
-  if (n <= 1) return;
-  const ProcessorGroup g = ctx.group();
-  if (!(a.group() == g)) {
-    throw std::logic_error("parallel_qsort: array must be mapped to the current group");
-  }
+namespace {
 
-  if (ctx.nprocs() == 1) {
-    leaf_sort(ctx.machine(), a.local());
-    ctx.charge_int_ops(2.0 * static_cast<double>(n) *
-                       std::max(1.0, std::log2(static_cast<double>(n))));
-    return;
-  }
+/// Sorts the one-member group's whole array `a` in place.
+void sort_leaf(Context& ctx, DistArray<std::int64_t>& a) {
+  const std::int64_t n = a.layout().extent(0);
+  leaf_sort(ctx.machine(), a.local());
+  ctx.charge_int_ops(2.0 * static_cast<double>(n) *
+                     std::max(1.0, std::log2(static_cast<double>(n))));
+}
+
+Piece sort_piece(Context& ctx, DistArray<std::int64_t>& a);
+
+/// One partition level of `a` (1-D, over the current group of two or more
+/// members): picks the pivot, classifies, scatters each side into a fresh
+/// array and recurses. Returns this rank's piece of the sorted keys, or
+/// nothing when every key equals the pivot (`a` is sorted as it stands).
+std::optional<Piece> partition_level(Context& ctx, DistArray<std::int64_t>& a) {
+  const ProcessorGroup g = ctx.group();
+  const int P = g.size();
+  const int me = g.virtual_of(ctx.phys_rank());
+  // The middle member roots this level's gathers and broadcasts. In a
+  // balanced binary split no rank is then the root at two levels, so the
+  // root's extra work does not pile up on one rank.
+  const int root = (P - 1) / 2;
 
   // Pick the pivot as the median of every member's evenly spaced samples:
-  // gathered at virtual rank 0, selected there and broadcast.
+  // gathered at the root, selected there and broadcast.
   const std::span<const std::int64_t> mine = a.local();
-  std::vector<std::int64_t> samples = comm::gather_vectors(ctx, g, 0, pivot_sample(mine));
+  std::vector<std::int64_t> samples = comm::gather_vectors(ctx, g, root, pivot_sample(mine));
   std::int64_t median = 0;
   if (!samples.empty()) {  // non-empty exactly at the root: n > 1 keys exist
     const auto mid = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
@@ -225,7 +306,7 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
     median = *mid;
     ctx.charge_int_ops(kSelectOpsPerSample * static_cast<double>(samples.size()));
   }
-  const std::int64_t pivot = comm::broadcast(ctx, g, 0, median);
+  const std::int64_t pivot = comm::broadcast(ctx, g, root, median);
 
   // Classify local elements (order-preserving) into one pooled block: count
   // first, then fill — the less keys, then the greater. Each side has one
@@ -248,49 +329,44 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
     il += v < pivot;
     ig += v > pivot;
   }
-  const std::span<std::int64_t> less(lo, nl);
-  const std::span<std::int64_t> greater(hi, ng);
+  const std::span<const std::int64_t> less(lo, nl);
+  const std::span<const std::int64_t> greater(hi, ng);
   const auto eq = static_cast<std::int64_t>(mine.size() - nl - ng);
   ctx.charge_int_ops(kClassifyOpsPerElem * static_cast<double>(mine.size()));
 
   // Exchange per-processor counts (an allgather of triples).
   std::vector<std::int64_t> triple{static_cast<std::int64_t>(nl), eq,
                                    static_cast<std::int64_t>(ng)};
-  const auto gathered = comm::gather_vectors(ctx, g, 0, triple);
-  const auto all_counts = comm::broadcast_vector(ctx, g, 0, gathered);
-  const int P = g.size();
+  const auto gathered = comm::gather_vectors(ctx, g, root, triple);
+  const auto all_counts = comm::broadcast_vector(ctx, g, root, gathered);
   std::vector<std::int64_t> less_cnt(static_cast<std::size_t>(P)),
-      eq_cnt(static_cast<std::size_t>(P)), greater_cnt(static_cast<std::size_t>(P));
+      greater_cnt(static_cast<std::size_t>(P));
   std::int64_t n_less = 0, n_eq = 0, n_greater = 0;
   for (int v = 0; v < P; ++v) {
     less_cnt[static_cast<std::size_t>(v)] = all_counts[static_cast<std::size_t>(3 * v)];
-    eq_cnt[static_cast<std::size_t>(v)] = all_counts[static_cast<std::size_t>(3 * v + 1)];
     greater_cnt[static_cast<std::size_t>(v)] = all_counts[static_cast<std::size_t>(3 * v + 2)];
     n_less += less_cnt[static_cast<std::size_t>(v)];
-    n_eq += eq_cnt[static_cast<std::size_t>(v)];
+    n_eq += all_counts[static_cast<std::size_t>(3 * v + 1)];
     n_greater += greater_cnt[static_cast<std::size_t>(v)];
   }
+  const PivotRun eq_run{pivot, n_eq};
 
-  if (n_less == 0 && n_greater == 0) return;  // all keys equal: sorted
+  if (n_less == 0 && n_greater == 0) return std::nullopt;  // all keys equal
 
   if (n_less == 0 || n_greater == 0) {
     // One-sided: recurse on the non-empty side with the whole group (the
-    // equal keys peel off, so the problem strictly shrinks).
+    // equal keys peel off, so the problem strictly shrinks). The equal run
+    // joins the last member's piece after the less keys, or the first
+    // member's before the greater keys.
     const bool less_side = n_less > 0;
-    auto& src_counts = less_side ? less_cnt : greater_cnt;
-    const std::int64_t m = less_side ? n_less : n_greater;
-    DistArray<std::int64_t> rest(ctx, block1d(g, m), "qsort.rest");
-    scatter_selected(ctx, g, less_side ? less : greater, src_counts, rest);
+    DistArray<std::int64_t> rest(ctx, block1d(g, less_side ? n_less : n_greater), "qsort.rest");
+    scatter_piece(ctx, g, {{}, less_side ? less : greater, {}},
+                  less_side ? less_cnt : greater_cnt, rest);
     selected.release();
-    parallel_qsort(ctx, rest);
-    if (less_side) {
-      dist::assign_shifted(ctx, a, {0}, rest);
-      write_pivot_range(a, m, n_eq, pivot);
-    } else {
-      write_pivot_range(a, 0, n_eq, pivot);
-      dist::assign_shifted(ctx, a, {n_eq}, rest);
-    }
-    return;
+    Piece piece = sort_piece(ctx, rest);
+    if (less_side && me == P - 1) piece.tail.push_back(eq_run);
+    if (!less_side && me == 0) piece.head.insert(piece.head.begin(), eq_run);
+    return piece;
   }
 
   // compute_subgroup_sizes: processors proportional to the two halves.
@@ -305,21 +381,61 @@ void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
                                          {DimDist::block()}, "aGreaterEq");
 
   // pick_less_than_pivot / pick_greater_...: value-dependent redistribution.
-  scatter_selected(ctx, g, less, less_cnt, a_less);
-  scatter_selected(ctx, g, greater, greater_cnt, a_greater);
+  scatter_piece(ctx, g, {{}, less, {}}, less_cnt, a_less);
+  scatter_piece(ctx, g, {{}, greater, {}}, greater_cnt, a_greater);
   selected.release();
 
+  Piece piece;
   {
     core::TaskRegion region(ctx, part);
-    region.on("less", [&] { parallel_qsort(ctx, a_less); });
-    region.on("greater", [&] { parallel_qsort(ctx, a_greater); });
-
-    // merge_result (parent scope): sorted less block, pivot run, sorted
-    // greater block.
-    dist::assign_shifted(ctx, a, {0}, a_less);
-    write_pivot_range(a, n_less, n_eq, pivot);
-    dist::assign_shifted(ctx, a, {n_less + n_eq}, a_greater);
+    region.on("less", [&] { piece = sort_piece(ctx, a_less); });
+    region.on("greater", [&] { piece = sort_piece(ctx, a_greater); });
   }
+  // The pieces stay where the subgroups sorted them; the equal run joins
+  // the less side's last member.
+  if (me == sizes[0] - 1) piece.tail.push_back(eq_run);
+  return piece;
+}
+
+/// Sorts `a` (1-D BLOCK over the current group) and returns this rank's
+/// piece of the result. A leaf — one member, at most one key, or all keys
+/// equal — hands up its own block, moved out of `a`.
+Piece sort_piece(Context& ctx, DistArray<std::int64_t>& a) {
+  const std::int64_t n = a.layout().extent(0);
+  if (n > 1 && ctx.nprocs() > 1) {
+    if (auto piece = partition_level(ctx, a)) return std::move(*piece);
+  } else if (n > 1) {
+    sort_leaf(ctx, a);
+  }
+  return {{}, a.release_local(), {}};
+}
+
+}  // namespace
+
+void parallel_qsort(Context& ctx, DistArray<std::int64_t>& a) {
+  if (a.layout().ndims() != 1) {
+    throw std::invalid_argument("parallel_qsort: array '" + a.name() + "' must be 1-D, got " +
+                                std::to_string(a.layout().ndims()) + "-D");
+  }
+  if (a.layout().extent(0) <= 1) return;
+  const ProcessorGroup g = ctx.group();
+  if (!(a.group() == g)) {
+    throw std::logic_error("parallel_qsort: array must be mapped to the current group");
+  }
+  if (ctx.nprocs() == 1) {
+    sort_leaf(ctx, a);
+    return;
+  }
+
+  const std::optional<Piece> piece = partition_level(ctx, a);
+  if (!piece) return;
+  // The pieces lie in virtual rank order, in whatever lengths the leaves
+  // came out: learn every piece's length and place them into `a` with one
+  // exchange.
+  std::vector<std::int64_t> lens(static_cast<std::size_t>(g.size()), 0);
+  lens[static_cast<std::size_t>(g.virtual_of(ctx.phys_rank()))] = piece->view().size();
+  lens = comm::allreduce_vector(ctx, g, std::move(lens), std::plus<>());
+  scatter_piece(ctx, g, piece->view(), lens, a);
 }
 
 std::vector<std::int64_t> qsort_input(std::int64_t n, unsigned seed) {

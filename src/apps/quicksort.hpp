@@ -1,17 +1,21 @@
 // fxpar apps: parallel quicksort via dynamically nested task regions
 // (paper Section 3.4, Figure 4).
 //
-// The array is block-distributed over the current processors. Each level
-// picks a pivot — the median of up to 255 evenly spaced keys from every
-// member's block, gathered at virtual rank 0 and broadcast — counts
-// elements below/equal/above it, sizes two subgroups proportionally
-// (compute_subgroup_sizes), redistributes the elements into subgroup-mapped
-// arrays (pick_less_than_pivot / pick_greater_...), recurses inside ON
-// SUBGROUP blocks — each recursion declaring a new TASK_PARTITION of its own
-// subgroup — and merges the sorted pieces back (merge_result). Elements
-// equal to the pivot are written in place, which guarantees termination
-// with duplicate keys. The sample depends only on the blocks' contents, so
-// every backend picks the same pivots.
+// Each level picks a pivot — the median of up to 255 evenly spaced keys
+// from every member's block, gathered at the group's middle member and
+// broadcast — counts elements below/equal/above it, sizes two subgroups
+// proportionally (compute_subgroup_sizes), redistributes the elements into
+// subgroup-mapped BLOCK arrays (pick_less_than_pivot / pick_greater_...)
+// and recurses inside ON SUBGROUP blocks, each recursion declaring a new
+// TASK_PARTITION of its own subgroup. Figure 4 then merges the sorted
+// halves back into the parent array at every level (merge_result); here no
+// level does. A leaf's sorted block moves up the recursion as that rank's
+// piece. Each level's keys equal to its pivot leave the recursion, which
+// guarantees termination with duplicate keys, and join an adjacent piece as
+// a (pivot, count) run. The top level learns every piece's length with one
+// allreduce and places the pieces into the caller's array, of any 1-D
+// distribution, with one exchange. The sample depends only on the blocks'
+// contents, so every backend picks the same pivots.
 #pragma once
 
 #include <cstddef>

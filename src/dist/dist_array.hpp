@@ -17,6 +17,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/layout.hpp"
@@ -70,6 +71,15 @@ class DistArray {
   std::span<const T> local() const {
     require_member();
     return std::span<const T>(local_);
+  }
+
+  /// Moves the local block out, leaving this array without storage: local()
+  /// is then empty and element access is invalid. Members only. A quicksort
+  /// leaf hands its sorted block up the recursion this way instead of
+  /// copying it.
+  std::vector<T> release_local() {
+    require_member();
+    return std::exchange(local_, {});
   }
 
   const std::vector<std::int64_t>& local_extents() const {

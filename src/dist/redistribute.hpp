@@ -19,8 +19,8 @@
 //
 // assign_permuted additionally permutes dimensions — the corner turn
 // (transpose) of the radar benchmark is one redistribution — and
-// assign_shifted writes into a rectangular offset of the destination (the
-// merge step of the quicksort example).
+// assign_shifted writes into a rectangular offset of the destination (a
+// sub-block copied into a larger array).
 //
 // Plan caching (MachineConfig::plan_cache, on by default): the
 // O(senders x receivers) run-intersection analysis below is the *inspector*

@@ -6,8 +6,9 @@
 // floating-point stream pipeline whose outputs are compared at the bit
 // level.
 //
-// Every test here runs the simulator, whose ucontext fibers are
-// incompatible with ThreadSanitizer — all tests self-skip under TSan.
+// Almost every test here runs the simulator, whose ucontext fibers are
+// incompatible with ThreadSanitizer, and self-skips under TSan; the
+// quicksort pieces test runs its threads leg alone there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "apps/ffthist.hpp"
@@ -250,6 +252,84 @@ TEST(ExecParity, QuicksortProcBothTransports) {
   auto expect = input;
   std::sort(expect.begin(), expect.end());
   EXPECT_EQ(shm.sorted, expect);
+}
+
+namespace {
+
+struct QsortRun {
+  std::vector<std::int64_t> sorted;
+  mx::RunResult res;
+};
+
+/// Sorts `input` through a 1-D array of distribution `dist` and gathers the
+/// result to phys 0 (the parent process on the proc backend).
+QsortRun run_qsort(const MachineConfig& mcfg, ds::DimDist dist,
+                   const std::vector<std::int64_t>& input) {
+  const auto n = static_cast<std::int64_t>(input.size());
+  QsortRun out;
+  mx::Machine m(mcfg);
+  out.res = m.run([&](mx::Context& ctx) {
+    ds::DistArray<std::int64_t> a(ctx, ds::Layout(ctx.group(), {n}, {dist}), "a");
+    a.fill([&](std::span<const std::int64_t> g) { return input[static_cast<std::size_t>(g[0])]; });
+    ap::parallel_qsort(ctx, a);
+    auto full = ds::gather_full(ctx, a, 0);
+    if (ctx.phys_rank() == 0) out.sorted = std::move(full);
+  });
+  return out;
+}
+
+/// `n` keys, key i being `hi` when i % 4 == 3 and `lo` otherwise.
+std::vector<std::int64_t> two_values(std::size_t n, std::int64_t lo, std::int64_t hi) {
+  std::vector<std::int64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = i % 4 == 3 ? hi : lo;
+  return v;
+}
+
+}  // namespace
+
+// The pieces each rank's leaves hand up, with the pivot runs joined at a
+// piece's head or tail, are placed into the caller's array by one exchange.
+// Its output, messages, bytes and barriers are equal on sim, threads,
+// proc-shm and proc-tcp. Under TSan only the threads leg runs (sim fibers
+// and fork-per-rank are not TSan-compatible).
+TEST(ExecParity, QuicksortPiecesMatchOnAllFourBackends) {
+  constexpr int P = 4;
+  struct Case {
+    const char* name;
+    ds::DimDist dist;
+    std::vector<std::int64_t> keys;
+  };
+  const Case cases[] = {
+      {"all equal", ds::DimDist::block(), std::vector<std::int64_t>(64, 42)},
+      // Three quarters of the keys take the smaller value, so it is the
+      // pivot and its run joins the first piece's head...
+      {"two values, run at a head", ds::DimDist::block(), two_values(203, 5, 9)},
+      // ...and here the larger value is, so its run joins the last piece's
+      // tail.
+      {"two values, run at a tail", ds::DimDist::block(), two_values(203, 9, 5)},
+      {"fewer keys than ranks", ds::DimDist::block(), {7, -2, 7}},
+      {"BLOCK_CYCLIC(3) target", ds::DimDist::block_cyclic(3), ap::qsort_input(1000, 5)},
+      {"CYCLIC target", ds::DimDist::cyclic(), ap::qsort_input(1001, 6)},
+  };
+  for (const Case& c : cases) {
+    auto expect = c.keys;
+    std::sort(expect.begin(), expect.end());
+    const QsortRun thr = run_qsort(backend_cfg(P, ex::BackendKind::Threads), c.dist, c.keys);
+    EXPECT_EQ(thr.sorted, expect) << c.name;
+#ifndef FXPAR_TSAN
+    const std::pair<const char*, MachineConfig> legs[] = {
+        {"sim", backend_cfg(P, ex::BackendKind::Sim, 512 * 1024)},
+        {"proc-shm", proc_cfg(P, ex::TransportKind::Shm)},
+        {"proc-tcp", proc_cfg(P, ex::TransportKind::Tcp)}};
+    for (const auto& [leg, cfg] : legs) {
+      const QsortRun r = run_qsort(cfg, c.dist, c.keys);
+      expect_bit_identical(r.sorted, thr.sorted, leg, -1);
+      EXPECT_EQ(r.res.messages, thr.res.messages) << c.name << " on " << leg;
+      EXPECT_EQ(r.res.bytes, thr.res.bytes) << c.name << " on " << leg;
+      EXPECT_EQ(r.res.barriers, thr.res.barriers) << c.name << " on " << leg;
+    }
+#endif
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -259,7 +259,8 @@ TEST(Quicksort, ModeledCostIsPinned) {
   // the final gather) must leave the model untouched: finish time
   // (exactly), messages, bytes and barriers on paragon(8), with the plan
   // cache on and off. The values were recorded with the sampled-median
-  // pivot (docs/performance.md, "Pivot rule and classify").
+  // pivot and the merge-free recursion (docs/performance.md, "Pivot rule
+  // and classify" and "Pieces instead of merges").
   struct Pin {
     std::int64_t n;
     unsigned seed;
@@ -267,8 +268,8 @@ TEST(Quicksort, ModeledCostIsPinned) {
     std::uint64_t messages, bytes, barriers;
   };
   const Pin pins[] = {
-      {4096, 7, 0x1.6b4be5237b076p-5, 132, 136152, 56},
-      {1 << 16, 11, 0x1.97227ce669ba3p-4, 132, 1668736, 56},
+      {4096, 7, 0x1.708326d927fcap-5, 138, 136712, 8},
+      {1 << 16, 11, 0x1.6e4f4bc322d4fp-4, 136, 1650424, 8},
   };
   for (const Pin& pin : pins) {
     for (bool plan_cache : {true, false}) {
@@ -291,8 +292,9 @@ TEST(Quicksort, SampledPivotBalancesLeaves) {
   // The pivot is the median of evenly spaced samples, so each binary split
   // halves the keys and no rank's leaf dwarfs the others: the busiest
   // rank's modeled busy time stays close to the mean. Over these 12 inputs
-  // it measured at most 1.070x on p=4 and 1.143x on p=8. (The old
-  // midpoint-key rule measured a median of 1.72x and up to 2.33x on p=4.)
+  // it measured at most 1.083x on p=4 and 1.100x on p=8, with each level's
+  // gathers rooted at its middle member. (The old midpoint-key rule
+  // measured a median of 1.72x and up to 2.33x on p=4.)
   for (const auto& [procs, bound] : {std::pair{4, 1.10}, std::pair{8, 1.17}}) {
     for (unsigned s = 0; s < 12; ++s) {
       const auto input = ap::qsort_input(1 << 16, s * 1000 + 1);
